@@ -1,19 +1,20 @@
-"""Performance benchmark for the sharded serving fleet.
+"""Performance benchmark for sharded serving.
 
 Replays the paper's production shape — Eclipse, 1488 compute nodes at
 1 Hz — through the serving path and records the result in
 ``BENCH_serving.json`` at the repository root:
 
-* the *same deterministic stream* driven through a single
-  :class:`DiagnosisService` (the pre-fleet serving path) and through a
-  4-shard :class:`FleetService`, with the diagnoses asserted identical
-  between arms (sharding must not change a single label or confidence);
-* a faulted fleet arm replaying seeded stalls, hangs, and crash bursts
+* the *same deterministic stream* driven through a one-engine
+  :class:`DiagnosisService` (the ``serial`` arm) and through a
+  ``DiagnosisService(n_shards=4)`` (the ``fleet`` arm), with the
+  diagnoses asserted identical between arms (sharding must not change a
+  single label or confidence);
+* a faulted sharded arm replaying seeded stalls, hangs, and crash bursts
   against individual shards plus a mid-replay shard kill — recording the
   typed failure census and proving the census is exhaustive (every
   accepted event resolves).
 
-Timing protocol mirrors ``test_perf_train_core.py``: this box throttles
+Timing protocol mirrors ``test_perf_train_core.py``: machines throttle
 under sustained load, so the serial and fleet arms are *interleaved* and
 each reported number is the median over reps.
 
@@ -37,7 +38,6 @@ from repro.apps.volta_apps import VOLTA_APPS
 from repro.core.config import FrameworkConfig
 from repro.core.framework import ALBADross
 from repro.datasets.generate import SystemConfig, generate_runs
-from repro.serving.fleet import FleetService
 from repro.serving.registry import ModelRegistry
 from repro.serving.replay import (
     ECLIPSE_NODES,
@@ -123,7 +123,7 @@ def _service_opts() -> dict:
 class TestEclipseReplay:
     def test_serial_vs_fleet(self, harness):
         """The tentpole numbers: sustained runs/sec and tail latency for
-        the identical 1488-node stream, serial engine vs sharded fleet."""
+        the identical 1488-node stream, one engine vs four shards."""
         registry = harness["registry"]
         arms: dict[str, list] = {"serial": [], "fleet": []}
         parity: dict[str, list] = {}
@@ -132,7 +132,9 @@ class TestEclipseReplay:
                 arms["serial"].append(
                     replay(serial, _stream(harness), keep_diagnoses=True)
                 )
-            fleet = FleetService(registry, n_shards=N_SHARDS, **_service_opts())
+            fleet = DiagnosisService(
+                registry, n_shards=N_SHARDS, **_service_opts()
+            )
             with fleet:
                 arms["fleet"].append(
                     replay(fleet, _stream(harness), keep_diagnoses=True)
@@ -171,8 +173,9 @@ class TestEclipseReplay:
             ),
             "diagnoses_identical": True,
             "note": (
-                "single shared model => fleet speedup is bounded by "
-                "cpu_count and batching overlap, not by shard count; "
+                "one shared framework => fleet speedup is bounded by "
+                "effective_cpu_count and batching overlap, not by shard "
+                "count; "
                 "featurization inside each coalesced micro-batch is "
                 "run-batched (one extraction kernel pass per batch), so "
                 "per-batch latency scales with batch bytes, not run count"
@@ -192,7 +195,7 @@ class TestEclipseReplay:
             1: FaultPlan.script(["ok", "ok", "raise:2"]),
         }
         factory = fault_wrapper_factory(plans, hang_limit_s=0.2)
-        fleet = FleetService(
+        fleet = DiagnosisService(
             registry,
             n_shards=N_SHARDS,
             predict_wrapper_factory=factory,

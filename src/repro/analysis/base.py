@@ -69,12 +69,6 @@ class FileContext:
         supp = self.suppressions.get(line)
         return supp is not None and supp.covers(rule)
 
-    # convenience for checkers scoping on package membership
-    def in_package(self, prefix: str) -> bool:
-        """Whether this file lives under ``prefix`` (repo-relative, sans src/)."""
-        rel = self.path[4:] if self.path.startswith("src/") else self.path
-        return rel == prefix or rel.startswith(prefix.rstrip("/") + "/")
-
 
 class Checker:
     """Base class for one family of invariant checks.

@@ -317,11 +317,13 @@ class ALBADross:
             )
             self.last_absorb_warm = True
             return self
-        self.model = build_model(
+        # fit before assigning: self.model is never an unfitted estimator
+        model = build_model(
             self.config.model,
             self.config.resolved_model_params(),
             random_state=self.config.random_state,
         )
-        self.model.fit(self._X_seed, self._y_seed)
+        model.fit(self._X_seed, self._y_seed)
+        self.model = model
         self.last_absorb_warm = False
         return self

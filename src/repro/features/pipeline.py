@@ -27,7 +27,7 @@ cost of the ~hundreds of kernels is paid once per *corpus*, not once per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -298,10 +298,6 @@ class FeatureExtractor:
         ``"mvts"`` (48 features/metric) or ``"tsfresh"`` (84/metric).
     trim_frac:
         Head/tail trim fractions passed to :func:`preprocess_run`.
-    map_fn:
-        Optional parallel map (e.g. :meth:`repro.parallel.Executor.map`)
-        used to spread per-run extraction over processes (legacy hook;
-        prefer ``n_jobs``, which ships packed chunks instead of records).
     n_jobs:
         Workers for chunk-wise extraction; ``None`` or 1 keeps
         extraction serial and in-process.
@@ -321,7 +317,6 @@ class FeatureExtractor:
         catalog: MetricCatalog,
         method: str = "mvts",
         trim_frac: tuple[float, float] = (0.08, 0.06),
-        map_fn: Callable[..., Iterable[np.ndarray]] | None = None,
         n_jobs: int | None = None,
         backend: str = "auto",
         max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
@@ -333,11 +328,10 @@ class FeatureExtractor:
         self.catalog = catalog
         self.method = method
         self.trim_frac = trim_frac
-        self.map_fn = map_fn
         self.n_jobs = n_jobs
         self.backend = backend
         self.max_panel_elems = max_panel_elems
-        self._extract, per_metric_names = _EXTRACTORS[method]
+        per_metric_names = _EXTRACTORS[method][1]
         self._all_names = [
             f"{m}::{f}" for m in catalog.names for f in per_metric_names
         ]
@@ -352,10 +346,6 @@ class FeatureExtractor:
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
-    def _featurize_one(self, run: RunRecord) -> np.ndarray:
-        clean = preprocess_run(run.data, self.catalog.counter_mask, self.trim_frac)
-        return self._extract(clean)
-
     def _featurize_corpus(self, corpus: RunCorpus) -> np.ndarray:
         n_jobs = self.n_jobs or 1
         if n_jobs <= 1 or len(corpus) == 1:
@@ -399,19 +389,23 @@ class FeatureExtractor:
     def _featurize_all(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
         if isinstance(runs, RunCorpus):
             return self._featurize_corpus(runs)
-        if self.map_fn is not None:
-            # legacy hook: caller owns the parallel map, per-run tasks
-            return np.vstack(list(self.map_fn(self._featurize_one, runs)))
-        try:
-            # pack record lists up front: serving micro-batches and
-            # serial callers get the run-batched kernel pass too, and
-            # parallel chunks ship as flat buffers
-            corpus = RunCorpus.from_records(list(runs))
-        except ValueError:
-            # unpackable lists (empty, or records disagreeing on the
-            # metric catalog) keep the historical per-run behavior
-            return np.vstack([self._featurize_one(r) for r in runs])
-        return self._featurize_corpus(corpus)
+        # pack record lists up front: serving micro-batches and serial
+        # callers get the run-batched kernel pass too, and parallel
+        # chunks ship as flat buffers. Records disagreeing on the metric
+        # catalog pack per catalog; rows go back in input order.
+        runs = list(runs)
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for i, run in enumerate(runs):
+            groups.setdefault(tuple(run.metric_names), []).append(i)
+        if len(groups) <= 1:
+            return self._featurize_corpus(RunCorpus.from_records(runs))
+        X = np.vstack([
+            self._featurize_corpus(RunCorpus.from_records([runs[i] for i in idx]))
+            for idx in groups.values()
+        ])
+        out = np.empty_like(X)
+        out[np.concatenate(list(groups.values()))] = X
+        return out
 
     def fit_transform(self, runs: Sequence[RunRecord] | RunCorpus) -> FeatureDataset:
         """Featurize a corpus and learn the NaN/zero drop mask from it."""

@@ -252,10 +252,6 @@ class Binner:
         """``fit_transform`` bundled with this binner (the fast entry)."""
         return BinnedDataset(self.fit_transform(X), self)
 
-    def bin_dataset(self, X: np.ndarray) -> "BinnedDataset":
-        """Transform ``X`` and bundle the codes with this binner."""
-        return BinnedDataset(self.transform(X), self)
-
 
 class BinnedDataset:
     """A code matrix plus the binner that produced it.

@@ -7,25 +7,29 @@ long-running serving path:
   an atomic ``CURRENT`` pointer, list and rollback.
 * :mod:`repro.serving.engine` — micro-batching inference engine with
   bounded-queue backpressure, per-request deadlines, and retry.
-* :mod:`repro.serving.service` — the ``DiagnosisService`` façade: warm
-  load, result cache, hot version swap, escalation wiring, health and
-  readiness probes.
+* :mod:`repro.serving.service` — the ``DiagnosisService`` façade, the
+  one serving entry point: warm load, ``n_shards`` engines behind a
+  consistent-hash ``ShardRouter`` (reroute on shard death), result cache,
+  hot version swap, escalation wiring, health and readiness probes.
 * :mod:`repro.serving.escalation` — annotation escalation queue closing
-  the active-learning loop online.
+  the active-learning loop online, plus the durable retrain worker
+  ``process_one_retrain``.
 * :mod:`repro.serving.reliability` — typed serving errors, retry policy,
   circuit breaker, and the dispatcher watchdog.
 * :mod:`repro.serving.stats` — service counters as a plain-dict snapshot.
 * :mod:`repro.serving.jobs` — durable SQLite-backed at-least-once job
   queue (escalation and retrain orders survive process death).
-* :mod:`repro.serving.fleet` — consistent-hash shard router and the
-  ``FleetService`` pool for Eclipse-scale serving.
 * :mod:`repro.serving.replay` — deterministic 1488-node replay harness
   and throughput/latency reporting.
 """
 
 from .engine import BackpressureError, MicroBatcher
-from .escalation import EscalationItem, EscalationQueue, apply_annotations
-from .fleet import FleetService, ShardRouter, process_one_retrain
+from .escalation import (
+    EscalationItem,
+    EscalationQueue,
+    apply_annotations,
+    process_one_retrain,
+)
 from .jobs import (
     ESCALATION_KIND,
     RETRAIN_KIND,
@@ -59,7 +63,7 @@ from .replay import (
     fault_wrapper_factory,
     replay,
 )
-from .service import DiagnosisService
+from .service import DiagnosisService, ShardRouter
 from .stats import ServiceStats
 
 __all__ = [
@@ -75,7 +79,6 @@ __all__ = [
     "EscalationItem",
     "EscalationQueue",
     "FALLBACK_LABEL",
-    "FleetService",
     "Job",
     "JobQueue",
     "JobQueueError",

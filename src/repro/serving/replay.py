@@ -1,28 +1,28 @@
-"""Deterministic Eclipse-scale replay harness for the serving fleet.
+"""Deterministic Eclipse-scale replay harness for the serving path.
 
 The paper's production system (Eclipse) is 1488 compute nodes emitting
-telemetry at 1 Hz. This module replays that shape against any serving
-front-end — a single :class:`~repro.serving.service.DiagnosisService` or
-a sharded :class:`~repro.serving.fleet.FleetService` — deterministically:
+telemetry at 1 Hz. This module replays that shape against a
+:class:`~repro.serving.service.DiagnosisService` at any shard count,
+deterministically:
 
 * a :class:`ReplayStream` expands a small pool of template runs into a
   per-tick event schedule over ``n_nodes`` synthetic node ids, with the
   emitting nodes and template choices drawn from per-tick
   ``numpy`` seed streams, so two arms replay the *identical* event
-  sequence (the fleet-vs-serial parity tests depend on this);
+  sequence (the shard-count parity tests depend on this);
 * :func:`replay` drives the events through ``submit()`` (as a live
   monitoring pipeline would), timestamps every future at completion, and
   reports sustained runs/sec plus p50/p99 end-to-end latency and a typed
   failure census — every accepted future resolves, so the census is
   exhaustive;
 * :func:`fault_wrapper_factory` adapts seeded
-  :class:`~repro.testing.faults.FaultPlan` schedules to the fleet's
+  :class:`~repro.testing.faults.FaultPlan` schedules to the service's
   per-shard ``predict_wrapper_factory`` hook, which is how the benchmark
   replays stalls, hangs, and crashes against individual shards.
 
 The stream replays *as fast as the engines absorb it* rather than in
 wall-clock 1 Hz pacing: the number the capacity question needs is how
-many node-seconds of telemetry the fleet can sustain per second of
+many node-seconds of telemetry the service can sustain per second of
 compute, which only shows up under saturation.
 """
 
@@ -72,7 +72,7 @@ class ReplayStream:
         routing and cache behavior — are per-node, while the telemetry
         content stays drawn from a realistic pool.
     n_nodes:
-        Fleet size; defaults to Eclipse's 1488.
+        Node count; defaults to Eclipse's 1488.
     ticks:
         Synthetic seconds of 1 Hz stream to schedule.
     emit_per_tick:
@@ -174,12 +174,12 @@ def replay(
 ) -> ReplayReport:
     """Drive a stream through ``service.submit`` and census the outcome.
 
-    ``service`` is anything with ``submit(run) -> Future`` — a single
-    :class:`DiagnosisService` or a :class:`FleetService`. Latency is
-    measured per request from submit to future completion (the number a
-    node's monitoring agent would see). ``on_tick(tick)`` fires before
-    each tick — the chaos hook benchmarks use to kill shards mid-replay —
-    and ``probe_between_ticks`` additionally runs the fleet's health
+    ``service`` is anything with ``submit(run) -> Future``, typically a
+    :class:`DiagnosisService`. Latency is measured per request from
+    submit to future completion (the number a node's monitoring agent
+    would see). ``on_tick(tick)`` fires before each tick — the chaos hook
+    benchmarks use to kill shards mid-replay — and
+    ``probe_between_ticks`` additionally runs the service's shard health
     sweep so reroutes happen at tick granularity, as a control loop
     would.
 
@@ -241,11 +241,11 @@ def replay(
 def fault_wrapper_factory(
     plans: dict, hang_limit_s: float = 5.0
 ) -> Callable:
-    """Adapt per-shard :class:`FaultPlan` schedules to the fleet hook.
+    """Adapt per-shard :class:`FaultPlan` schedules to the service hook.
 
     ``plans`` maps ``shard_id -> FaultPlan``; shards without a plan serve
     clean. The returned factory plugs into
-    :class:`~repro.serving.fleet.FleetService`'s
+    :class:`~repro.serving.service.DiagnosisService`'s
     ``predict_wrapper_factory`` and exposes the built injectors on its
     ``injectors`` attribute so tests can release hangs and read fault
     logs.

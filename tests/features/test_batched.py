@@ -238,13 +238,14 @@ class TestEntryPoints:
         assert np.array_equal(a.labels, b.labels)
 
     def test_record_list_equals_legacy_map_fn_path(self, catalog):
-        """The per-run map_fn hook and the batched default agree bitwise."""
+        """The batched record-list path equals the per-run oracle bitwise."""
         records = _mixed_records(catalog, [64, 96, 64], seed=7)
-        batched = FeatureExtractor(catalog, method="mvts").fit_transform(records)
-        legacy = FeatureExtractor(catalog, method="mvts", map_fn=map).fit_transform(
-            records
+        fe = FeatureExtractor(catalog, method="mvts")
+        batched = fe.fit_transform(records)
+        ref = _per_run_reference(
+            RunCorpus.from_records(records), catalog.counter_mask, "mvts"
         )
-        assert np.array_equal(batched.X, legacy.X)
+        assert np.array_equal(batched.X, ref[:, fe.keep_mask_])
 
     def test_transform_reuses_batched_path(self, catalog):
         records = _mixed_records(catalog, [64, 96, 64, 96], seed=8)
@@ -255,19 +256,27 @@ class TestEntryPoints:
         assert np.array_equal(a.X, b.X)
 
     def test_heterogeneous_record_list_falls_back_per_run(self, catalog):
-        """Records disagreeing on metric names cannot pack — the per-run
-        fallback keeps the historical behavior instead of erroring."""
-        records = _mixed_records(catalog, [64, 64], seed=9)
+        """Records disagreeing on metric names cannot pack together — each
+        catalog packs as its own corpus and the rows come back in input
+        order, equal to the per-run oracle."""
+        records = _mixed_records(catalog, [64, 96, 64, 80], seed=9)
         renamed = list(records[1].metric_names)
         renamed[0] = "rogue_metric"
-        records[1] = RunRecord(
-            app=records[1].app, input_deck=records[1].input_deck,
-            node_count=records[1].node_count, node_id=records[1].node_id,
-            anomaly=records[1].anomaly, intensity=records[1].intensity,
-            data=records[1].data, metric_names=renamed,
-        )
-        ds = FeatureExtractor(catalog, method="mvts").fit_transform(records)
-        assert ds.X.shape[0] == 2
+        for i in (1, 2):
+            records[i] = RunRecord(
+                app=records[i].app, input_deck=records[i].input_deck,
+                node_count=records[i].node_count, node_id=records[i].node_id,
+                anomaly=records[i].anomaly, intensity=records[i].intensity,
+                data=records[i].data, metric_names=renamed,
+            )
+        fe = FeatureExtractor(catalog, method="mvts")
+        ds = fe.fit_transform(records)
+        ref = np.vstack([
+            extract_mvts(preprocess_run(r.data, catalog.counter_mask))
+            for r in records
+        ])
+        assert ds.X.shape[0] == 4
+        assert np.array_equal(ds.X, ref[:, fe.keep_mask_])
 
 
 class TestParallelParity:

@@ -151,11 +151,17 @@ class TestFeatureExtractor:
 
     def test_parallel_map_gives_identical_results(self, tiny_config):
         from repro.datasets.generate import generate_runs
-        from repro.parallel import Executor
+        from repro.features.mvts import extract_mvts
 
         runs = generate_runs(tiny_config, rng=2)[:10]
-        serial = FeatureExtractor(tiny_config.catalog).fit_transform(runs)
-        parallel = FeatureExtractor(
-            tiny_config.catalog, map_fn=Executor(n_workers=2).map
-        ).fit_transform(runs)
-        assert np.allclose(serial.X, parallel.X)
+        mask = tiny_config.catalog.counter_mask
+        # per-run oracle: one preprocess + kernel call per run
+        oracle = np.vstack([
+            extract_mvts(preprocess_run(r.data, mask)) for r in runs
+        ])
+        for n_jobs in (None, 2):
+            fe = FeatureExtractor(
+                tiny_config.catalog, n_jobs=n_jobs, backend="thread"
+            )
+            ds = fe.fit_transform(runs)
+            assert np.array_equal(ds.X, oracle[:, fe.keep_mask_])

@@ -149,22 +149,25 @@ class TestConsoleEntry:
 
 
 class TestFleetServeCommand:
+    """Sharded serving through ``serve-batch --shards N [--jobs-db PATH]``."""
+
     def test_fleet_serve_prints_fleet_stats(self, artifacts, capsys):
         root = str(artifacts["root"])
         main(["registry", "publish", "--root", root,
               "--model", str(artifacts["model"])])
         capsys.readouterr()
         assert main([
-            "fleet-serve", "--registry", root,
+            "serve-batch", "--registry", root,
             "--runs", str(artifacts["archive"]),
-            "--shards", "3", "--max-batch", "8", "--linger-ms", "5",
+            "--shards", "4", "--max-batch", "8", "--linger-ms", "5",
+            "--health",
         ]) == 0
         out = capsys.readouterr().out
-        assert "fleet of 3 shards serving v0001" in out
-        assert "scored" in out and "across 3 shards" in out
-        assert "reroutes" in out
+        assert "serving v0001" in out and "on 4 shards" in out
+        assert "scored" in out
+        assert "reroutes" in out and "shard_deaths" in out
         assert "escalations_forced" in out
-        assert "shard-0:" in out and "shard-2:" in out
+        assert "live_shards            [0, 1, 2, 3]" in out
 
     def test_fleet_serve_with_jobs_db_reports_queue(
         self, artifacts, tmp_path, capsys
@@ -175,21 +178,26 @@ class TestFleetServeCommand:
         capsys.readouterr()
         db = tmp_path / "jobs.db"
         assert main([
-            "fleet-serve", "--registry", root,
+            "serve-batch", "--registry", root,
             "--runs", str(artifacts["archive"]),
-            "--shards", "2", "--jobs-db", str(db), "--health",
+            "--shards", "4", "--jobs-db", str(db), "--retrain", "--health",
         ]) == 0
         out = capsys.readouterr().out
         assert db.exists()
         assert "job queue:" in out
-        assert "fleet health:" in out
+        assert "health:" in out
+        # --jobs-db implies escalation; the durable retrain cycle ran to
+        # completion, so nothing is left claimed or pending
+        assert "retrained (cold) and adopted v0002" in out
+        assert "CLAIMED=0" in out and "PENDING=0" in out
 
     def test_fleet_serve_on_empty_registry_fails_cleanly(
         self, artifacts, tmp_path, capsys
     ):
         assert main([
-            "fleet-serve", "--registry", str(tmp_path / "nothing"),
+            "serve-batch", "--registry", str(tmp_path / "nothing"),
             "--runs", str(artifacts["archive"]),
+            "--shards", "4", "--jobs-db", str(tmp_path / "jobs.db"),
         ]) == 2
         assert "registry error" in capsys.readouterr().err
 
@@ -203,25 +211,25 @@ class TestFleetServeCommand:
               "--model", str(artifacts["model"])])
         capsys.readouterr()
         batch_path = tmp_path / "serve.json"
-        fleet_path = tmp_path / "fleet.json"
+        sharded_path = tmp_path / "sharded.json"
         assert main([
             "serve-batch", "--registry", root,
             "--runs", str(artifacts["archive"]),
             "--health", "--stats-json", str(batch_path),
         ]) == 0
         assert main([
-            "fleet-serve", "--registry", root,
+            "serve-batch", "--registry", root,
             "--runs", str(artifacts["archive"]),
-            "--shards", "2", "--stats-json", str(fleet_path),
+            "--shards", "2", "--stats-json", str(sharded_path),
         ]) == 0
         capsys.readouterr()
         batch_doc = json.loads(batch_path.read_text())
         assert batch_doc["stats"]["requests"] > 0
         assert batch_doc["health"]["dispatcher_alive"] is True
         assert "captured_at" in batch_doc
-        fleet_doc = json.loads(fleet_path.read_text())
-        assert fleet_doc["stats"]["fleet"]["requests"] > 0
-        assert fleet_doc.get("health") is None  # --health not passed
+        sharded_doc = json.loads(sharded_path.read_text())
+        assert sharded_doc["stats"]["requests"] == batch_doc["stats"]["requests"]
+        assert sharded_doc.get("health") is None  # --health not passed
 
 
 class TestQueueCommand:

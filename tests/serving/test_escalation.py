@@ -236,12 +236,27 @@ class TestWarmRetrain:
         fw.absorb(pool, [r.label for r in pool], warm=True)
         assert fw.last_absorb_warm is False
 
-    def test_warm_snapshot_merges_across_shards(self):
-        from repro.serving.stats import ServiceStats
+    def test_warm_snapshot_merges_across_shards(
+        self, tiny_config, corpus, tmp_path
+    ):
+        """Warm refits from a sharded service land in its one snapshot."""
+        from dataclasses import replace
 
-        a, b = ServiceStats(), ServiceStats()
-        a.record_warm_refit()
-        a.record_warm_refit()
-        b.record_warm_refit()
-        merged = ServiceStats.merge([a.snapshot(), b.snapshot()])
-        assert merged["warm_refits"] == 3
+        fw = self._warm_framework(tiny_config, corpus)
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.publish(fw)
+        escalation = EscalationQueue(
+            ThresholdController(threshold=0.0, target_rate=None)
+        )
+        runs = [replace(r, node_id=i) for i, r in enumerate(corpus["pool"])]
+        with DiagnosisService(
+            registry, n_shards=2, max_linger_s=0.01, escalation=escalation
+        ) as service:
+            for cycle in (runs[:4], runs[4:8]):
+                service.diagnose_many(cycle)
+                assert service.retrain_and_publish(
+                    annotator=lambda item: item.run.label, warm=True
+                ) is not None
+            snap = service.stats.snapshot()
+        assert snap["warm_refits"] == 2
+        assert snap["model_swaps"] == 2

@@ -601,10 +601,10 @@ class TestServiceDegradedMode:
             max_linger_s=0.0,
             cache_size=0,
             retry=RetryPolicy(max_retries=2, base_delay_s=0.001),
+            # fault the vectorized scorer the engine actually calls
+            predict_wrapper_factory=lambda _shard: inj.wrap,
         ).start()
         try:
-            # fault the vectorized scorer the engine actually calls
-            service._engine.predict_fn = inj.wrap(service._predict_batch)
             diagnosis = service.diagnose(corpus["pool"][0])
             assert not is_fallback(diagnosis)
             assert service.stats.snapshot()["retries"] == 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.persistence import run_fingerprint
-from repro.serving.fleet import FleetService
 from repro.serving.registry import ModelRegistry
 from repro.serving.replay import (
     ECLIPSE_NODES,
@@ -104,28 +103,34 @@ class TestReplayDrive:
         assert json_doc["n_ok"] == report.n_ok
 
     def test_replay_is_identical_across_fleet_and_serial(self, registry, corpus):
-        """The bench's parity precondition: both arms see the same stream
-        and produce the same diagnoses."""
+        """The bench's parity precondition: every shard count sees the same
+        stream and produces bitwise-identical diagnoses, label and
+        confidence, for n_shards in {1, 2, 4}."""
         templates = corpus["holdout"][:3]
         make = lambda: ReplayStream(templates, n_nodes=60, ticks=2, seed=5)
-        with DiagnosisService(registry, cache_size=0) as serial:
-            ref = replay(serial, make(), keep_diagnoses=True)
-        with FleetService(registry, n_shards=4, cache_size=0) as fleet:
-            got = replay(fleet, make(), keep_diagnoses=True)
-        assert ref.n_failed == got.n_failed == 0
-        assert [d.label for d in got.diagnoses] == [
-            d.label for d in ref.diagnoses
-        ]
-        assert [d.confidence for d in got.diagnoses] == [
-            d.confidence for d in ref.diagnoses
-        ]
+        reports = {}
+        for n_shards in (1, 2, 4):
+            with DiagnosisService(
+                registry, n_shards=n_shards, cache_size=0
+            ) as service:
+                reports[n_shards] = replay(service, make(), keep_diagnoses=True)
+        ref = reports[1]
+        assert ref.n_failed == 0 and ref.n_ok == len(make())
+        for n_shards, got in reports.items():
+            assert got.n_failed == 0, n_shards
+            assert [d.label for d in got.diagnoses] == [
+                d.label for d in ref.diagnoses
+            ], n_shards
+            assert [d.confidence for d in got.diagnoses] == [
+                d.confidence for d in ref.diagnoses
+            ], n_shards
 
     def test_faulted_shard_census_and_probe_reroute(self, registry, corpus):
         """A shard crashing mid-replay shows up as typed failures and/or
         reroutes — never as silently missing events."""
         plans = {0: FaultPlan.script(["ok", "ok", "raise:200"])}
         factory = fault_wrapper_factory(plans)
-        fleet = FleetService(
+        service = DiagnosisService(
             registry,
             n_shards=2,
             cache_size=0,
@@ -134,8 +139,8 @@ class TestReplayDrive:
         stream = ReplayStream(
             corpus["holdout"][:3], n_nodes=80, ticks=3, seed=9
         )
-        with fleet:
-            report = replay(fleet, stream, probe_between_ticks=True)
+        with service:
+            report = replay(service, stream, probe_between_ticks=True)
         assert 0 in factory.injectors  # the plan was actually installed
         assert report.n_ok + report.n_failed == report.n_events
         assert report.n_ok > 0  # the clean shard kept serving

@@ -226,3 +226,89 @@ class TestBoundedDiagnose:
         with DiagnosisService(registry, max_linger_s=0.01) as service:
             diagnosis = service.diagnose(corpus["pool"][0], timeout_s=10.0)
         assert diagnosis.label
+
+
+class TestRetrainIsolation:
+    """Retrain absorbs into a private registry copy, never the live model."""
+
+    @staticmethod
+    def _escalate_everything():
+        from repro.active.stream import ThresholdController
+        from repro.serving.escalation import EscalationQueue
+
+        return EscalationQueue(
+            ThresholdController(threshold=0.0, target_rate=None)
+        )
+
+    def test_adopt_false_leaves_live_framework_untouched(
+        self, registry, corpus
+    ):
+        runs = corpus["pool"][:4]
+        service = DiagnosisService(
+            registry, cache_size=0, escalation=self._escalate_everything()
+        )
+        with service:
+            before = service.diagnose_many(runs)
+            live = service._framework
+            live_model, n_labeled = live.model, len(live._y_seed)
+            version = service.retrain_and_publish(
+                lambda item: item.run.label, adopt=False
+            )
+            assert version is not None and version.version_id == "v0002"
+            assert service.version.version_id == "v0001"
+            assert service._framework is live
+            assert live.model is live_model
+            assert len(live._y_seed) == n_labeled
+            after = service.diagnose_many(runs)
+        assert [(d.label, d.confidence) for d in after] == [
+            (d.label, d.confidence) for d in before
+        ]
+
+    def test_reads_resolve_while_cold_retrain_runs(
+        self, registry, corpus, monkeypatch
+    ):
+        """Regression: a cold refit used to swap an unfitted forest into
+        the serving framework, so reads landing mid-fit failed with
+        ``AttributeError``. Hold the refit open and serve through it."""
+        import threading
+
+        from repro.mlcore.forest import RandomForestClassifier
+
+        fitting, release = threading.Event(), threading.Event()
+        real_fit = RandomForestClassifier.fit
+
+        def held_fit(model, X, y):
+            if threading.current_thread().name == "retrainer":
+                fitting.set()
+                release.wait(10.0)
+            return real_fit(model, X, y)
+
+        monkeypatch.setattr(RandomForestClassifier, "fit", held_fit)
+        service = DiagnosisService(
+            registry, cache_size=0, escalation=self._escalate_everything()
+        )
+        published = []
+        with service:
+            service.diagnose_many(corpus["pool"][:4])
+            retrainer = threading.Thread(
+                target=lambda: published.append(
+                    service.retrain_and_publish(
+                        lambda item: item.run.label, warm=False
+                    )
+                ),
+                name="retrainer",
+            )
+            retrainer.start()
+            try:
+                assert fitting.wait(10.0), "retrain never reached its refit"
+                served = [
+                    service.diagnose(run, timeout_s=10.0)
+                    for run in corpus["holdout"][:4]
+                ]
+            finally:
+                release.set()
+                retrainer.join(30.0)
+            assert not retrainer.is_alive()
+        assert all(d.label for d in served)
+        assert published and published[0] is not None
+        assert service.version.version_id == published[0].version_id
