@@ -14,7 +14,11 @@ Measures the PR's two claims and records them in
   pure dispatch-overhead amortization, independent of core count; the
   long-run full profile records its smaller speedup honestly;
 * the TSFRESH vectorization: whole-matrix approximate entropy vs the
-  historical per-column loop on a single preprocessed run matrix.
+  historical per-column loop on a single preprocessed run matrix;
+* selection-aware extraction (``extraction_planned_*``): a trained
+  K = 300 model's ``featurize``, which extracts only the columns the
+  selector keeps, vs extracting everything then scaling and selecting,
+  at serving batch sizes B ∈ {1, 8, 32}, outputs asserted bit-identical.
 
 Timing protocol mirrors ``test_perf_train_core.py``: this box throttles
 under sustained load, so competing configs are *interleaved* and each
@@ -44,7 +48,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.apps.volta_apps import VOLTA_APPS
+from repro.core.config import FrameworkConfig
+from repro.core.framework import ALBADross
 from repro.datasets.generate import SystemConfig, build_dataset, generate_runs
+from repro.experiments.configs import K_FEATURES, RF_PARAMS
 from repro.features.mvts import extract_mvts
 from repro.features.pipeline import batched_feature_rows, preprocess_run
 from repro.parallel import effective_cpu_count
@@ -301,6 +308,97 @@ class TestTsfreshVectorization:
             assert speedup >= 1.5
 
 
+class TestExtractionPlanned:
+    """Selection-aware extraction on a trained K = 300 model.
+
+    The full arm is the reference the plan must match: extract every
+    column, NaN-fill, scale, then keep the selector's K.
+    The planned arm is ``ALBADross.featurize``: it preprocesses only the
+    metrics the model reads and computes each feature kind on only its
+    columns. Both arms run on the same held-out batches, interleaved, and
+    must agree bit for bit. The gain grows with the batch: at B = 1 the
+    fixed per-kernel dispatch cost dominates either way.
+    """
+
+    BATCHES = (1, 8, 32)
+
+    def _bench_method(self, method: str) -> dict:
+        config = _campaign()
+        runs = generate_runs(config, rng=0)
+        fw = ALBADross(
+            config.catalog,
+            FrameworkConfig(
+                feature_method=method, n_features=K_FEATURES,
+                model_params=dict(RF_PARAMS), random_state=0,
+            ),
+        )
+        fw.fit_features(runs)
+        fw.fit_initial(runs, [r.label for r in runs])
+        plan = fw.extraction_plan()
+        held_out = generate_runs(config, rng=1)
+
+        def full(batch) -> np.ndarray:
+            X = fw.scaler.transform(fw.extractor.transform(batch).X)
+            return fw.selector.transform(X)
+
+        by_batch = {}
+        for B in self.BATCHES:
+            batch = [held_out[i % len(held_out)] for i in range(B)]
+            arms = {"full": full, "planned": fw.featurize}
+            times: dict[str, list[float]] = {name: [] for name in arms}
+            results: dict[str, np.ndarray] = {}
+            for rep in range(2 * REPS):
+                order = ("full", "planned") if rep % 2 == 0 else ("planned", "full")
+                for arm in order:
+                    t0 = time.perf_counter()
+                    results[arm] = arms[arm](batch)
+                    times[arm].append(time.perf_counter() - t0)
+            # the plan must not move a single bit
+            assert np.array_equal(results["full"], results["planned"])
+            med = {name: float(np.median(ts)) for name, ts in times.items()}
+            by_batch[str(B)] = {
+                "full_s": round(med["full"], 5),
+                "planned_s": round(med["planned"], 5),
+                "speedup": round(med["full"] / med["planned"], 2),
+            }
+        largest = by_batch[str(self.BATCHES[-1])]
+        payload = {
+            "k": int(plan.n_columns),
+            "columns_full": int(fw.extractor.n_features_raw),
+            "n_metrics": len(config.catalog.names),
+            "metrics_kept": int(len(plan.metrics)),
+            "n_kinds": len(plan.kind_metrics),
+            "kinds_kept": int(sum(len(m) > 0 for m in plan.kind_metrics)),
+            "run_length": config.duration,
+            "reps": 2 * REPS,
+            "by_batch": by_batch,
+            # the gated numbers: the largest batch
+            "full_s": largest["full_s"],
+            "planned_s": largest["planned_s"],
+            "speedup": largest["speedup"],
+            "bit_identical": True,
+            "note": (
+                "planned featurize vs extract-everything-then-select on "
+                "the same model and batches; single-threaded, so the "
+                "gain does not depend on core count"
+            ),
+        }
+        _update_results(f"extraction_planned_{method}", payload)
+        assert largest["speedup"] >= 1.0, (
+            f"planned {method} featurize is a slowdown at B = "
+            f"{self.BATCHES[-1]}: {largest['speedup']:.2f}x"
+        )
+        return payload
+
+    def test_mvts_extraction_planned(self):
+        payload = self._bench_method("mvts")
+        assert payload["metrics_kept"] <= payload["n_metrics"]
+
+    def test_tsfresh_extraction_planned(self):
+        payload = self._bench_method("tsfresh")
+        assert payload["metrics_kept"] <= payload["n_metrics"]
+
+
 class TestBaselineGate:
     def test_no_regression_vs_committed_baseline(self):
         """CI gate: fail when any recorded timing is >2x the baseline."""
@@ -320,6 +418,10 @@ class TestBaselineGate:
             "extraction_batched_mvts.batched_s": lambda d: d["extraction_batched_mvts"]["batched_s"],
             "extraction_batched_tsfresh.batched_s": lambda d: d["extraction_batched_tsfresh"]["batched_s"],
             "tsfresh_vectorization.matrix_s": lambda d: d["tsfresh_vectorization"]["matrix_s"],
+            "extraction_planned_mvts.planned_s":
+                lambda d: d["extraction_planned_mvts"]["planned_s"],
+            "extraction_planned_tsfresh.planned_s":
+                lambda d: d["extraction_planned_tsfresh"]["planned_s"],
         }
         regressions = []
         for name, get in checks.items():

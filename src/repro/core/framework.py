@@ -21,7 +21,7 @@ import numpy as np
 
 from ..active.loop import ALResult, run_active_learning
 from ..active.strategies import get_strategy
-from ..features.pipeline import FeatureExtractor
+from ..features.pipeline import ExtractionPlan, FeatureExtractor
 from ..mlcore.base import BaseEstimator
 from ..mlcore.feature_selection import SelectKBest
 from ..mlcore.forest import RandomForestClassifier
@@ -133,14 +133,38 @@ class ALBADross:
         self.scaler = MinMaxScaler(clip=True).fit(ds.X)
         return self
 
+    def __getstate__(self) -> dict:
+        # the plan is derived from the fitted stack, so pickles (and the
+        # registry artifacts built from them) carry only what they always did
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
+
+    def extraction_plan(self) -> ExtractionPlan:
+        """The columns the fitted selector reads, and how to extract only them.
+
+        Derived from the extractor's drop mask, the scaler and the chi²
+        selector, and cached until one of them is replaced: ``absorb`` and
+        warm refits keep all three, so a published model never re-plans.
+        """
+        if self.scaler is None or self.selector is None:
+            raise RuntimeError("call fit_initial first")
+        fitted = (self.extractor.keep_mask_, self.scaler, self.selector)
+        cached = self.__dict__.get("_plan")
+        if cached is None or any(a is not b for a, b in zip(cached[0], fitted)):
+            # engines racing here each derive the same plan from the same
+            # fitted objects; the one store that wins is as good as any
+            plan = ExtractionPlan(self.extractor, self.selector.support_, self.scaler)
+            cached = self._plan = (fitted, plan)
+        return cached[1]
+
     def _featurize(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
         if self.scaler is None:
             raise RuntimeError("call fit_features first")
-        ds = self.extractor.transform(runs)
-        X = self.scaler.transform(ds.X)
-        if self.selector is not None:
-            X = self.selector.transform(X)
-        return X
+        if self.selector is None:  # no model yet: the whole feature space
+            return self.scaler.transform(self.extractor.transform(runs).X)
+        plan = self.extraction_plan()
+        return plan.finish(self.extractor.extract(runs, plan))
 
     def fit_initial(
         self, seed_runs: Sequence[RunRecord], seed_labels: Sequence[str]
@@ -243,9 +267,12 @@ class ALBADross:
     def featurize(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
         """Map raw runs through the fitted extractor→scaler→selector stack.
 
-        The serving engine uses this to featurize a coalesced micro-batch
-        once, then score it with :meth:`predict_features` in a single
-        vectorized model call. Record lists route through the run-batched
+        Once a selector is fitted only the columns it keeps are extracted
+        (:meth:`extraction_plan`), bit-identical to extracting, scaling and
+        selecting everything. The serving engine uses this to featurize a
+        coalesced micro-batch once, then score it with
+        :meth:`predict_features` in a single vectorized model call. Record
+        lists route through the run-batched
         corpus path inside the extractor, so coalescing buys one kernel
         pass over the whole micro-batch — extraction throughput scales
         with batch size instead of paying per-run dispatch overhead B

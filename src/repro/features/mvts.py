@@ -15,10 +15,20 @@ into one ``(T, B*M)`` panel and featurized in a single pass, bit-identical
 to extracting each run separately. The batched pipeline
 (:mod:`repro.features.pipeline`) leans on exactly this contract.
 
+The same contract lets a caller compute each feature *kind* on only the
+columns it needs (``extract_mvts(X, columns)``): a deployed model reads a
+few hundred of the ~2.5k columns, and the selection-aware serving path
+(:class:`repro.features.pipeline.ExtractionPlan`) extracts just those,
+bit-identical to extracting everything and selecting afterwards. Full
+extraction is the same code with every column selected for every kind.
+
 Input series must be NaN-free (the pipeline interpolates first).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,8 +41,9 @@ def _longest_true_run(mask: np.ndarray) -> np.ndarray:
     best = np.zeros(M, dtype=np.int64)
     current = np.zeros(M, dtype=np.int64)
     for t in range(T):
-        current = np.where(mask[t], current + 1, 0)
-        best = np.maximum(best, current)
+        current += 1
+        current *= mask[t]  # a False resets the run to 0
+        np.maximum(best, current, out=best)
     return best
 
 
@@ -68,113 +79,290 @@ def _linfit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slope, intercept
 
 
-# the canonical, ordered 48-feature inventory
-MVTS_FEATURE_NAMES: tuple[str, ...] = (
-    "mean", "median", "std", "var", "min", "max", "range", "iqr",
-    "q1", "q3", "skew", "kurtosis", "rms", "abs_mean", "total", "abs_energy",
-    "mean_abs_change", "mean_change", "mean_second_derivative",
-    "count_above_mean", "count_below_mean",
-    "longest_strike_above_mean", "longest_strike_below_mean",
-    "longest_monotonic_increase", "longest_monotonic_decrease",
-    "n_mean_crossings", "linear_slope", "linear_intercept",
-    "first_loc_of_max", "first_loc_of_min", "last_loc_of_max", "last_loc_of_min",
-    "half_diff_mean", "half_diff_median", "half_diff_std", "half_diff_var",
-    "half_diff_min", "half_diff_max", "half_diff_q1", "half_diff_q3",
-    "autocorr_lag1", "autocorr_lag2",
-    "ratio_beyond_1sigma", "ratio_beyond_2sigma",
-    "variation_coefficient", "p5", "p95", "median_abs_deviation",
+class _View:
+    """One column subset of a ``(T, W)`` panel and its shared intermediates.
+
+    Each intermediate is computed on first use and reused by every
+    feature kind read from this view. ``names`` lists the kinds that read
+    it; only :attr:`runs` looks at it. The panel is never one column wide
+    (see :func:`_extract_kinds`).
+    """
+
+    # kind name -> the mask whose longest True run it reports
+    RUN_MASKS: dict[str, Callable[["_View"], np.ndarray]] = {
+        "longest_strike_above_mean": lambda v: v.X > v.mu,
+        "longest_strike_below_mean": lambda v: v.X < v.mu,
+        "longest_monotonic_increase": lambda v: v.diffs > 0,
+        "longest_monotonic_decrease": lambda v: v.diffs < 0,
+    }
+
+    def __init__(self, X: np.ndarray, names: set[str]):
+        self.X = X
+        self.T, self.width = X.shape
+        self.names = names
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return self.X.mean(axis=0)
+
+    @cached_property
+    def sd(self) -> np.ndarray:
+        return self.X.std(axis=0)
+
+    @cached_property
+    def safe_sd(self) -> np.ndarray:
+        return np.where(self.sd > 1e-18, self.sd, 1.0)
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        return self.X - self.mu
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self.centered / self.safe_sd
+
+    @cached_property
+    def quartiles(self) -> np.ndarray:
+        return np.percentile(self.X, [25, 50, 75], axis=0)  # q1, median, q3
+
+    @cached_property
+    def mn(self) -> np.ndarray:
+        return self.X.min(axis=0)
+
+    @cached_property
+    def mx(self) -> np.ndarray:
+        return self.X.max(axis=0)
+
+    @cached_property
+    def diffs(self) -> np.ndarray:
+        return np.diff(self.X, axis=0)
+
+    @cached_property
+    def linfit(self) -> tuple[np.ndarray, np.ndarray]:
+        return _linfit(self.X)
+
+    @cached_property
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        half = self.T // 2
+        return self.X[:half], self.X[half:]
+
+    @cached_property
+    def runs(self) -> dict[str, np.ndarray]:
+        """Longest True run of every requested run kind, in one time loop.
+
+        The masks are stacked side by side so the Python loop over time
+        runs once instead of once per kind. Masks built from ``diffs``
+        are one row short; the False row that pads them ends no run.
+        """
+        wanted = [name for name in self.RUN_MASKS if name in self.names]
+        masks = [self.RUN_MASKS[name](self) for name in wanted]
+        stacked = np.zeros((self.T, len(masks) * self.width), dtype=bool)
+        for i, mask in enumerate(masks):
+            stacked[: mask.shape[0], i * self.width:(i + 1) * self.width] = mask
+        best = _longest_true_run(stacked)
+        return {
+            name: best[i * self.width:(i + 1) * self.width]
+            for i, name in enumerate(wanted)
+        }
+
+
+# A feature kind: (name, family, values-of-view). Kinds of one family read
+# one joint computation (a multi-quantile percentile call, the run loop),
+# so a selection computes the family once, on the union of its kinds'
+# columns; a kind without a family gets a view of exactly its columns.
+Kind = tuple[str, "str | None", Callable[[_View], np.ndarray]]
+
+
+def _half_diff(stat: Callable[[np.ndarray], np.ndarray]) -> Callable[[_View], np.ndarray]:
+    def value(v: _View) -> np.ndarray:
+        A, B = v.halves
+        return np.abs(stat(A) - stat(B))
+    return value
+
+
+def _loc(arg: Callable, last: bool) -> Callable[[_View], np.ndarray]:
+    def value(v: _View) -> np.ndarray:
+        if last:
+            return (v.T - 1 - arg(v.X[::-1], axis=0)) / v.T
+        return arg(v.X, axis=0) / v.T
+    return value
+
+
+def _ratio_beyond(k: int) -> Callable[[_View], np.ndarray]:
+    def value(v: _View) -> np.ndarray:
+        return np.mean(np.abs(v.centered) > k * v.safe_sd, axis=0)
+    return value
+
+
+def _variation_coefficient(v: _View) -> np.ndarray:
+    mu, sd = v.mu, v.sd
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(np.abs(mu) > 1e-18, sd / np.where(np.abs(mu) > 1e-18, mu, 1.0), 0.0)
+
+
+# the canonical, ordered 48-kind inventory
+MVTS_KINDS: tuple[Kind, ...] = (
+    ("mean", None, lambda v: v.mu),
+    ("median", "quartiles", lambda v: v.quartiles[1]),
+    ("std", None, lambda v: v.sd),
+    ("var", None, lambda v: v.sd**2),
+    ("min", None, lambda v: v.mn),
+    ("max", None, lambda v: v.mx),
+    ("range", None, lambda v: v.mx - v.mn),
+    ("iqr", "quartiles", lambda v: v.quartiles[2] - v.quartiles[0]),
+    ("q1", "quartiles", lambda v: v.quartiles[0]),
+    ("q3", "quartiles", lambda v: v.quartiles[2]),
+    ("skew", None, lambda v: np.where(v.sd > 1e-18, np.mean(v.z**3, axis=0), 0.0)),
+    # excess kurtosis
+    ("kurtosis", None, lambda v: np.where(v.sd > 1e-18, np.mean(v.z**4, axis=0) - 3.0, 0.0)),
+    ("rms", None, lambda v: np.sqrt(np.mean(v.X**2, axis=0))),
+    ("abs_mean", None, lambda v: np.mean(np.abs(v.X), axis=0)),
+    ("total", None, lambda v: v.X.sum(axis=0)),
+    ("abs_energy", None, lambda v: np.sum(v.X**2, axis=0)),
+    ("mean_abs_change", None, lambda v: np.mean(np.abs(v.diffs), axis=0)),
+    ("mean_change", None, lambda v: np.mean(v.diffs, axis=0)),
+    ("mean_second_derivative", None,
+     lambda v: np.mean(v.X[2:] - 2 * v.X[1:-1] + v.X[:-2], axis=0)),
+    ("count_above_mean", None, lambda v: (v.X > v.mu).sum(axis=0)),
+    ("count_below_mean", None, lambda v: (v.X < v.mu).sum(axis=0)),
+    ("longest_strike_above_mean", "runs", lambda v: v.runs["longest_strike_above_mean"]),
+    ("longest_strike_below_mean", "runs", lambda v: v.runs["longest_strike_below_mean"]),
+    # run length in points
+    ("longest_monotonic_increase", "runs", lambda v: v.runs["longest_monotonic_increase"] + 1),
+    ("longest_monotonic_decrease", "runs", lambda v: v.runs["longest_monotonic_decrease"] + 1),
+    ("n_mean_crossings", None,
+     lambda v: np.sum(np.abs(np.diff(np.sign(v.X - v.mu), axis=0)) > 1, axis=0)),
+    ("linear_slope", "trend", lambda v: v.linfit[0]),
+    ("linear_intercept", "trend", lambda v: v.linfit[1]),
+    ("first_loc_of_max", None, _loc(np.argmax, last=False)),
+    ("first_loc_of_min", None, _loc(np.argmin, last=False)),
+    ("last_loc_of_max", None, _loc(np.argmax, last=True)),
+    ("last_loc_of_min", None, _loc(np.argmin, last=True)),
+    ("half_diff_mean", None, _half_diff(lambda H: H.mean(axis=0))),
+    ("half_diff_median", None, _half_diff(lambda H: np.median(H, axis=0))),
+    ("half_diff_std", None, _half_diff(lambda H: H.std(axis=0))),
+    ("half_diff_var", None, _half_diff(lambda H: H.var(axis=0))),
+    ("half_diff_min", None, _half_diff(lambda H: H.min(axis=0))),
+    ("half_diff_max", None, _half_diff(lambda H: H.max(axis=0))),
+    ("half_diff_q1", None, _half_diff(lambda H: np.percentile(H, 25, axis=0))),
+    ("half_diff_q3", None, _half_diff(lambda H: np.percentile(H, 75, axis=0))),
+    ("autocorr_lag1", None, lambda v: _autocorr(v.X, 1)),
+    ("autocorr_lag2", None, lambda v: _autocorr(v.X, 2)),
+    ("ratio_beyond_1sigma", None, _ratio_beyond(1)),
+    ("ratio_beyond_2sigma", None, _ratio_beyond(2)),
+    ("variation_coefficient", None, _variation_coefficient),
+    ("p5", None, lambda v: np.percentile(v.X, 5, axis=0)),
+    ("p95", None, lambda v: np.percentile(v.X, 95, axis=0)),
+    ("median_abs_deviation", "quartiles",
+     lambda v: np.median(np.abs(v.X - v.quartiles[1]), axis=0)),
 )
+
+MVTS_FEATURE_NAMES: tuple[str, ...] = tuple(name for name, _, _ in MVTS_KINDS)
 
 assert len(MVTS_FEATURE_NAMES) == 48
 
 
-def extract_mvts(X: np.ndarray) -> np.ndarray:
+def _two_wide(X: np.ndarray) -> np.ndarray:
+    """``X`` as a C-contiguous panel at least two columns wide.
+
+    A one-column ``(T, 1)`` array is contiguous along T, so numpy reduces
+    it pairwise instead of row by row, and its sums differ in the last
+    bits from the same column inside a wider panel. Repeating the column
+    restores row-by-row accumulation; callers drop the copy.
+    """
+    if X.shape[1] == 1:
+        return X.take([0, 0], axis=1)
+    return np.ascontiguousarray(X)
+
+
+def _extract_kinds(
+    X: np.ndarray,
+    columns: Sequence[Sequence[int]] | None,
+    kinds: tuple[Kind, ...],
+    view_type: type[_View],
+) -> np.ndarray:
+    """Run the feature kinds on a validated ``(T, M)`` panel.
+
+    With ``columns=None`` every kind runs on every column and the result
+    is the flat metric-major ``(M * n_kinds,)`` vector. Otherwise
+    ``columns[k]`` is the column indices kind ``k`` is computed on, and
+    the result concatenates the kinds in order: kind 0's values on its
+    columns, then kind 1's, … Each value equals, bit for bit, the same
+    kind and column of the full extraction, because every kernel reduces
+    per column and no view is narrower than two columns.
+    """
+    if columns is None:
+        M = X.shape[1]
+        view = view_type(_two_wide(X), {name for name, _, _ in kinds})
+        feats = np.empty((len(kinds), M))
+        for k, (_, _, value) in enumerate(kinds):
+            feats[k] = value(view)[:M]
+        return feats.T.ravel()  # metric-major
+
+    if len(columns) != len(kinds):
+        raise ValueError(
+            f"columns selects {len(columns)} kinds, the extractor has {len(kinds)}"
+        )
+    cols = [np.asarray(c, dtype=np.intp).reshape(-1) for c in columns]
+    groups: dict[str, list[int]] = {}
+    for k, (name, family, _) in enumerate(kinds):
+        if cols[k].size:
+            groups.setdefault(family or name, []).append(k)
+    views: dict[bytes, _View] = {}
+    values: list[np.ndarray | None] = [None] * len(kinds)
+    for members in groups.values():
+        # a lone kind's view is its columns as given; a family's is the
+        # sorted union, from which each kind gathers its own columns
+        union = (
+            cols[members[0]] if len(members) == 1
+            else np.unique(np.concatenate([cols[k] for k in members]))
+        )
+        key = union.tobytes()
+        if key not in views:
+            views[key] = view_type(_two_wide(X.take(union, axis=1)), set())
+        view = views[key]
+        view.names.update(kinds[k][0] for k in members)
+        for k in members:
+            value = kinds[k][2](view)
+            values[k] = (
+                value[: union.size] if len(members) == 1
+                else value[np.searchsorted(union, cols[k])]
+            )
+    out = np.empty(sum(c.size for c in cols))
+    lo = 0
+    for value in values:
+        if value is not None:
+            out[lo:lo + value.size] = value
+            lo += value.size
+    return out
+
+
+def _validated(X: np.ndarray, min_steps: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected (T, M), got {X.shape}")
+    if X.shape[0] < min_steps:
+        raise ValueError(f"need at least {min_steps} timesteps, got {X.shape[0]}")
+    if np.isnan(X).any():
+        raise ValueError("input contains NaNs; interpolate first (see pipeline)")
+    return X
+
+
+def extract_mvts(
+    X: np.ndarray, columns: Sequence[Sequence[int]] | None = None
+) -> np.ndarray:
     """Compute the 48 MVTS features for every column of a (T, M) matrix.
 
     Returns a flat ``(M * 48,)`` vector ordered metric-major: all 48
     features of metric 0, then metric 1, … (matching
     :func:`feature_names_for`).
+
+    ``columns``, one index sequence per kind of :data:`MVTS_FEATURE_NAMES`,
+    computes each kind on only its columns instead; the result is then
+    kind-major, ``len(columns[0]) + len(columns[1]) + …`` values (see
+    :func:`_extract_kinds`), each bit-identical to the full extraction.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected (T, M), got {X.shape}")
-    T, M = X.shape
-    if T < 4:
-        raise ValueError(f"need at least 4 timesteps, got {T}")
-    if np.isnan(X).any():
-        raise ValueError("input contains NaNs; interpolate first (see pipeline)")
-
-    feats = np.empty((48, M))
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    q1, med, q3 = np.percentile(X, [25, 50, 75], axis=0)
-    mn, mx = X.min(axis=0), X.max(axis=0)
-    diffs = np.diff(X, axis=0)
-
-    feats[0] = mu
-    feats[1] = med
-    feats[2] = sd
-    feats[3] = sd**2
-    feats[4] = mn
-    feats[5] = mx
-    feats[6] = mx - mn
-    feats[7] = q3 - q1
-    feats[8] = q1
-    feats[9] = q3
-    centered = X - mu
-    safe_sd = np.where(sd > 1e-18, sd, 1.0)
-    z = centered / safe_sd
-    feats[10] = np.where(sd > 1e-18, np.mean(z**3, axis=0), 0.0)  # skew
-    feats[11] = np.where(sd > 1e-18, np.mean(z**4, axis=0) - 3.0, 0.0)  # ex. kurtosis
-    feats[12] = np.sqrt(np.mean(X**2, axis=0))  # rms
-    feats[13] = np.mean(np.abs(X), axis=0)
-    feats[14] = X.sum(axis=0)
-    feats[15] = np.sum(X**2, axis=0)
-    feats[16] = np.mean(np.abs(diffs), axis=0)
-    feats[17] = np.mean(diffs, axis=0)
-    feats[18] = np.mean(X[2:] - 2 * X[1:-1] + X[:-2], axis=0)
-    above = X > mu
-    below = X < mu
-    feats[19] = above.sum(axis=0)
-    feats[20] = below.sum(axis=0)
-    feats[21] = _longest_true_run(above)
-    feats[22] = _longest_true_run(below)
-    feats[23] = _longest_true_run(diffs > 0) + 1  # run length in points
-    feats[24] = _longest_true_run(diffs < 0) + 1
-    sign = np.sign(X - mu)
-    feats[25] = np.sum(np.abs(np.diff(sign, axis=0)) > 1, axis=0)  # mean crossings
-    slope, intercept = _linfit(X)
-    feats[26] = slope
-    feats[27] = intercept
-    feats[28] = np.argmax(X, axis=0) / T
-    feats[29] = np.argmin(X, axis=0) / T
-    feats[30] = (T - 1 - np.argmax(X[::-1], axis=0)) / T
-    feats[31] = (T - 1 - np.argmin(X[::-1], axis=0)) / T
-    half = T // 2
-    A, B = X[:half], X[half:]
-    feats[32] = np.abs(A.mean(axis=0) - B.mean(axis=0))
-    feats[33] = np.abs(np.median(A, axis=0) - np.median(B, axis=0))
-    feats[34] = np.abs(A.std(axis=0) - B.std(axis=0))
-    feats[35] = np.abs(A.var(axis=0) - B.var(axis=0))
-    feats[36] = np.abs(A.min(axis=0) - B.min(axis=0))
-    feats[37] = np.abs(A.max(axis=0) - B.max(axis=0))
-    feats[38] = np.abs(
-        np.percentile(A, 25, axis=0) - np.percentile(B, 25, axis=0)
-    )
-    feats[39] = np.abs(
-        np.percentile(A, 75, axis=0) - np.percentile(B, 75, axis=0)
-    )
-    feats[40] = _autocorr(X, 1)
-    feats[41] = _autocorr(X, 2)
-    feats[42] = np.mean(np.abs(centered) > safe_sd, axis=0)
-    feats[43] = np.mean(np.abs(centered) > 2 * safe_sd, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        feats[44] = np.where(np.abs(mu) > 1e-18, sd / np.where(np.abs(mu) > 1e-18, mu, 1.0), 0.0)
-    feats[45] = np.percentile(X, 5, axis=0)
-    feats[46] = np.percentile(X, 95, axis=0)
-    feats[47] = np.median(np.abs(X - med), axis=0)
-
-    return feats.T.ravel()  # metric-major
+    return _extract_kinds(_validated(X, 4), columns, MVTS_KINDS, _View)
 
 
 def feature_names_for(metric_names: list[str]) -> list[str]:

@@ -46,6 +46,7 @@ __all__ = [
     "interpolate_missing",
     "preprocess_run",
     "batched_feature_rows",
+    "ExtractionPlan",
     "FeatureDataset",
     "FeatureExtractor",
 ]
@@ -64,7 +65,8 @@ def interpolate_missing(data: np.ndarray) -> np.ndarray:
 
     The whole matrix is filled in one masked-gather pass — the previous-
     and next-good-sample indices come from prefix max/min scans, so there
-    is no per-column Python loop. The arithmetic mirrors ``np.interp``
+    is no per-column Python loop, and the interpolation arithmetic runs on
+    the missing samples only. It mirrors ``np.interp``
     (``slope * (t - t_prev) + v_prev`` in float64), keeping the output
     bit-identical to the historical per-column implementation.
     """
@@ -74,19 +76,20 @@ def interpolate_missing(data: np.ndarray) -> np.ndarray:
         return data
     T = data.shape[0]
     t_idx = np.arange(T, dtype=np.int64)[:, None]
+    holed = np.flatnonzero(bad.any(axis=0))  # the columns with a gap
+    bad_h = bad[:, holed]
     # index of the last good sample at or before t (-1: none yet) and the
     # first good sample at or after t (T: none remaining), per column
-    prev = np.maximum.accumulate(np.where(bad, -1, t_idx), axis=0)
-    nxt = np.where(bad, T, t_idx)[::-1]
+    prev = np.maximum.accumulate(np.where(bad_h, -1, t_idx), axis=0)
+    nxt = np.where(bad_h, T, t_idx)[::-1]
     nxt = np.minimum.accumulate(nxt, axis=0)[::-1]
-    vp = np.take_along_axis(data, np.clip(prev, 0, T - 1), axis=0)
-    vn = np.take_along_axis(data, np.clip(nxt, 0, T - 1), axis=0)
-    denom = (nxt - prev).astype(np.float64)
-    denom[denom == 0.0] = 1.0  # only at good rows, which are never written
-    slope = (vn - vp) / denom
-    interior = slope * (t_idx.astype(np.float64) - prev) + vp
-    filled = np.where(prev < 0, vn, np.where(nxt >= T, vp, interior))
-    data[bad] = filled[bad]
+    t, h = np.nonzero(bad_h)
+    p, n, j = prev[t, h], nxt[t, h], holed[h]
+    vp = data[np.clip(p, 0, T - 1), j]
+    vn = data[np.clip(n, 0, T - 1), j]
+    slope = (vn - vp) / (n - p).astype(np.float64)  # a gap spans n - p >= 2
+    interior = slope * (t.astype(np.float64) - p) + vp
+    data[t, j] = np.where(p < 0, vn, np.where(n >= T, vp, interior))
     all_bad = bad.all(axis=0)
     if all_bad.any():
         data[:, all_bad] = 0.0
@@ -173,6 +176,7 @@ def batched_feature_rows(
     trim_frac: tuple[float, float],
     method: str,
     max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
+    plan: "ExtractionPlan | None" = None,
 ) -> np.ndarray:
     """Featurize every run of a packed buffer in one kernel pass per length.
 
@@ -189,6 +193,11 @@ def batched_feature_rows(
     separately — the batching only amortizes the fixed cost of hundreds
     of numpy/scipy dispatches over the whole group.
 
+    With a ``plan`` only the plan's metrics are stacked and preprocessed,
+    each feature kind runs on only the panel columns the plan needs, and
+    each row holds the plan's raw columns in model order — bit-identical
+    to the same columns of the full rows (:class:`ExtractionPlan`).
+
     A run too short to survive trimming raises the same ``ValueError`` as
     the per-run path (``preprocess_run`` checks post-trim length before
     touching the data, and every run in a group shares one length).
@@ -196,21 +205,96 @@ def batched_feature_rows(
     extract = _EXTRACTORS[method][0]
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.diff(offsets)
+    if plan is not None:
+        counter_mask = counter_mask[plan.metrics]
+    n_metrics = len(counter_mask)
     out: np.ndarray | None = None
-    for idx in plan_length_groups(lengths, buffer.shape[1], max_panel_elems):
+    for idx in plan_length_groups(lengths, n_metrics, max_panel_elems):
         mats = [buffer[offsets[i]:offsets[i + 1]] for i in idx]
+        if plan is not None:
+            mats = [m.take(plan.metrics, axis=1) for m in mats]
         if len(mats) == 1:
             panel, mask = mats[0], counter_mask
         else:
             panel = np.hstack(mats)
             mask = np.tile(counter_mask, len(mats))
         clean = preprocess_run(panel, mask, trim_frac)
-        rows = extract(clean).reshape(len(mats), -1)
+        if plan is None:
+            rows = extract(clean).reshape(len(mats), -1)
+        else:
+            rows = plan.rows(extract(clean, plan.panel_columns(len(mats))), len(mats))
         if out is None:
             out = np.empty((len(lengths), rows.shape[1]))
         out[idx] = rows
     assert out is not None  # plan_length_groups never returns empty plans
     return out
+
+
+class ExtractionPlan:
+    """The feature columns a deployed model reads, and how to compute only them.
+
+    A fitted model reads ``k`` columns: the chi² support of the columns
+    that survived the NaN/zero drop. Raw column ``keep_idx[support[j]]``
+    is feature kind ``r % F`` of metric ``r // F`` (``F`` kinds per
+    metric, metric-major). The plan lists
+
+    * ``metrics`` — the catalog columns to preprocess (ascending);
+    * ``kind_metrics[f]`` — for each feature kind, the positions in
+      ``metrics`` it must be computed on;
+    * the gather that puts the kernel's kind-major output in model
+      column order (:meth:`rows`);
+    * ``scaler`` — the fitted Min-Max scaler sliced to the k columns.
+
+    :meth:`FeatureExtractor.extract` with a plan, then :meth:`finish`,
+    equals ``selector.transform(scaler.transform(transform(runs).X))``
+    bit for bit: preprocessing and every kernel act per column, and the
+    scaling is elementwise. The plan depends only on the fitted extractor,
+    scaler and selector, which warm refits never touch.
+    """
+
+    def __init__(self, extractor: "FeatureExtractor", support: np.ndarray, scaler):
+        if extractor.keep_mask_ is None:
+            raise RuntimeError("call fit_transform on a training corpus first")
+        n_kinds = len(_EXTRACTORS[extractor.method][1])
+        raw = np.flatnonzero(extractor.keep_mask_)[np.asarray(support, dtype=np.intp)]
+        metric, kind = np.divmod(raw, n_kinds)
+        self.method = extractor.method
+        self.n_metrics = len(extractor.catalog.names)
+        self.metrics = np.unique(metric)
+        position = np.searchsorted(self.metrics, metric)
+        # stable sort by kind keeps model order (ascending metric) within
+        # each kind, so output column j is entry rank[j] of its kind's list
+        by_kind = np.argsort(kind, kind="stable")
+        counts = np.bincount(kind, minlength=n_kinds)
+        self.kind_metrics = tuple(np.split(position[by_kind], np.cumsum(counts)[:-1]))
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        rank = np.empty(len(raw), dtype=np.intp)
+        rank[by_kind] = np.arange(len(raw)) - np.repeat(starts, counts)
+        self._kind_start = starts[kind]
+        self._kind_count = counts[kind]
+        self._rank = rank
+        self.scaler = scaler.select(support)
+
+    @property
+    def n_columns(self) -> int:
+        """Feature columns the model reads (``k``)."""
+        return len(self._rank)
+
+    def panel_columns(self, n_runs: int) -> list[np.ndarray]:
+        """Per kind, its columns of an ``n_runs``-run panel of ``metrics``."""
+        base = np.arange(n_runs)[:, None] * len(self.metrics)
+        return [(base + m).ravel() for m in self.kind_metrics]
+
+    def rows(self, flat: np.ndarray, n_runs: int) -> np.ndarray:
+        """The kernel's kind-major output as ``(n_runs, k)`` model-order rows."""
+        runs = np.arange(n_runs)[:, None]
+        return flat[n_runs * self._kind_start + runs * self._kind_count + self._rank]
+
+    def finish(self, raw: np.ndarray) -> np.ndarray:
+        """Model input from extracted plan rows: NaN-fill, then Min-Max scale."""
+        # test-time NaNs (e.g. all-missing metric) are zero-filled, as in
+        # FeatureExtractor.transform: the model must not crash on a degraded run
+        return self.scaler.transform(np.nan_to_num(raw))
 
 
 class _ChunkFeaturizer:
@@ -225,16 +309,18 @@ class _ChunkFeaturizer:
 
     def __init__(self, counter_mask: np.ndarray, trim_frac: tuple[float, float],
                  method: str,
-                 max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS):
+                 max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
+                 plan: ExtractionPlan | None = None):
         self.counter_mask = counter_mask
         self.trim_frac = trim_frac
         self.method = method
         self.max_panel_elems = max_panel_elems
+        self.plan = plan
 
     def __call__(self, chunk: RunCorpus) -> np.ndarray:
         return batched_feature_rows(
             chunk.buffer, chunk.offsets, self.counter_mask, self.trim_frac,
-            self.method, self.max_panel_elems,
+            self.method, self.max_panel_elems, self.plan,
         )
 
 
@@ -252,18 +338,20 @@ class _ShmChunkFeaturizer:
 
     def __init__(self, handle: SharedArrayHandle, counter_mask: np.ndarray,
                  trim_frac: tuple[float, float], method: str,
-                 max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS):
+                 max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
+                 plan: ExtractionPlan | None = None):
         self.handle = handle
         self.counter_mask = counter_mask
         self.trim_frac = trim_frac
         self.method = method
         self.max_panel_elems = max_panel_elems
+        self.plan = plan
 
     def __call__(self, offsets: np.ndarray) -> np.ndarray:
         with self.handle.open() as att:
             return batched_feature_rows(
                 att.array, offsets, self.counter_mask, self.trim_frac,
-                self.method, self.max_panel_elems,
+                self.method, self.max_panel_elems, self.plan,
             )
 
 
@@ -295,7 +383,7 @@ class FeatureExtractor:
         The metric catalog the runs were collected with (provides the
         counter mask and metric names).
     method:
-        ``"mvts"`` (48 features/metric) or ``"tsfresh"`` (84/metric).
+        ``"mvts"`` (48 features/metric) or ``"tsfresh"`` (112/metric).
     trim_frac:
         Head/tail trim fractions passed to :func:`preprocess_run`.
     n_jobs:
@@ -336,6 +424,7 @@ class FeatureExtractor:
             f"{m}::{f}" for m in catalog.names for f in per_metric_names
         ]
         self.keep_mask_: np.ndarray | None = None
+        self._kept_names: list[str] = []
 
     def __setstate__(self, state: dict) -> None:
         # extractors pickled before the parallel data plane lack its knobs
@@ -344,23 +433,27 @@ class FeatureExtractor:
         state.setdefault("max_panel_elems", DEFAULT_MAX_PANEL_ELEMS)
         state.pop("_executor", None)  # pre-shm extractors owned a pool
         self.__dict__.update(state)
+        if "_kept_names" not in state:  # pickled without the cached list
+            self._kept_names = (
+                [] if self.keep_mask_ is None else self._names_kept()
+            )
 
     # ------------------------------------------------------------------
-    def _featurize_corpus(self, corpus: RunCorpus) -> np.ndarray:
+    def _featurize_corpus(
+        self, corpus: RunCorpus, plan: ExtractionPlan | None = None
+    ) -> np.ndarray:
         n_jobs = self.n_jobs or 1
+        featurize = _ChunkFeaturizer(
+            self.catalog.counter_mask, self.trim_frac, self.method,
+            self.max_panel_elems, plan,
+        )
         if n_jobs <= 1 or len(corpus) == 1:
-            return _ChunkFeaturizer(
-                self.catalog.counter_mask, self.trim_frac, self.method,
-                self.max_panel_elems,
-            )(corpus)
+            return featurize(corpus)
         executor = shared_executor(n_jobs, backend=self.backend)
         if executor.n_workers <= 1:
             # backend="auto" on a one-core mask degrades to serial: skip
             # the chunk/vstack round-trip, the bytes are identical anyway
-            return _ChunkFeaturizer(
-                self.catalog.counter_mask, self.trim_frac, self.method,
-                self.max_panel_elems,
-            )(corpus)
+            return featurize(corpus)
         parts = [
             idx
             for idx in block_partition(len(corpus), min(len(corpus), n_jobs * 4))
@@ -372,23 +465,22 @@ class FeatureExtractor:
             with corpus.share() as shared:
                 worker = _ShmChunkFeaturizer(
                     shared.handle, self.catalog.counter_mask,
-                    self.trim_frac, self.method, self.max_panel_elems,
+                    self.trim_frac, self.method, self.max_panel_elems, plan,
                 )
                 items = [
                     np.asarray(corpus.offsets[int(idx[0]):int(idx[-1]) + 2])
                     for idx in parts
                 ]
                 return np.vstack(executor.map(worker, items))
-        worker = _ChunkFeaturizer(
-            self.catalog.counter_mask, self.trim_frac, self.method,
-            self.max_panel_elems,
-        )
         chunks = [corpus.chunk(int(idx[0]), int(idx[-1]) + 1) for idx in parts]
-        return np.vstack(executor.map(worker, chunks))
+        return np.vstack(executor.map(featurize, chunks))
 
-    def _featurize_all(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
+    def _featurize_all(
+        self, runs: Sequence[RunRecord] | RunCorpus,
+        plan: ExtractionPlan | None = None,
+    ) -> np.ndarray:
         if isinstance(runs, RunCorpus):
-            return self._featurize_corpus(runs)
+            return self._featurize_corpus(runs, plan)
         # pack record lists up front: serving micro-batches and serial
         # callers get the run-batched kernel pass too, and parallel
         # chunks ship as flat buffers. Records disagreeing on the metric
@@ -398,9 +490,11 @@ class FeatureExtractor:
         for i, run in enumerate(runs):
             groups.setdefault(tuple(run.metric_names), []).append(i)
         if len(groups) <= 1:
-            return self._featurize_corpus(RunCorpus.from_records(runs))
+            return self._featurize_corpus(RunCorpus.from_records(runs), plan)
         X = np.vstack([
-            self._featurize_corpus(RunCorpus.from_records([runs[i] for i in idx]))
+            self._featurize_corpus(
+                RunCorpus.from_records([runs[i] for i in idx]), plan
+            )
             for idx in groups.values()
         ])
         out = np.empty_like(X)
@@ -415,6 +509,7 @@ class FeatureExtractor:
         nan_cols = np.isnan(raw).any(axis=0)
         zero_cols = np.all(raw == 0.0, axis=0)
         self.keep_mask_ = ~(nan_cols | zero_cols)
+        self._kept_names = self._names_kept()
         return self._package(runs, raw[:, self.keep_mask_])
 
     def transform(self, runs: Sequence[RunRecord] | RunCorpus) -> FeatureDataset:
@@ -427,10 +522,31 @@ class FeatureExtractor:
         # model must not crash on a degraded run
         return self._package(runs, np.nan_to_num(kept))
 
+    def extract(
+        self, runs: Sequence[RunRecord] | RunCorpus, plan: ExtractionPlan
+    ) -> np.ndarray:
+        """Extract only a plan's columns: ``(n_runs, plan.n_columns)`` raw rows.
+
+        The selection-aware serving path. Rows are in model column order
+        and not yet NaN-filled or scaled (:meth:`ExtractionPlan.finish`);
+        they equal the same columns of the full extraction bit for bit.
+        Runs batch, pack per catalog and fan out over ``n_jobs`` exactly
+        as in :meth:`transform`.
+        """
+        if plan.method != self.method or plan.n_metrics != len(self.catalog.names):
+            raise ValueError(
+                f"plan is for {plan.method} over {plan.n_metrics} metrics; the "
+                f"extractor runs {self.method} over {len(self.catalog.names)}"
+            )
+        return self._featurize_all(runs, plan)
+
+    def _names_kept(self) -> list[str]:
+        return [n for n, keep in zip(self._all_names, self.keep_mask_) if keep]
+
     def _package(
         self, runs: Sequence[RunRecord] | RunCorpus, X: np.ndarray
     ) -> FeatureDataset:
-        names = [n for n, keep in zip(self._all_names, self.keep_mask_) if keep]
+        names = self._kept_names
         if isinstance(runs, RunCorpus):
             return FeatureDataset(
                 X=X,

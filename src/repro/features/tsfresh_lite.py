@@ -4,7 +4,7 @@ TSFRESH computes 794 features per metric from 63 characterization methods;
 the paper highlights approximate entropy, power spectral density (Welch),
 and variation coefficients as the advanced additions beyond MVTS. This
 module reproduces the *families* rather than the full 794: every metric
-gets the 48 MVTS features plus 36 advanced features (84 total per metric),
+gets the 48 MVTS features plus 64 advanced features (112 per metric),
 spanning entropy measures, Welch spectral statistics, nonlinearity scores,
 complexity estimates, distribution quantiles, energy localization, and
 autocorrelation aggregates. Strictly more expressive than MVTS — which is
@@ -26,44 +26,15 @@ panels (see :func:`_approx_entropy_matrix`).
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import Callable, Sequence
+
 import numpy as np
 from scipy import signal
 
-from .mvts import MVTS_FEATURE_NAMES, _autocorr, _longest_true_run, extract_mvts
+from .mvts import MVTS_KINDS, Kind, _autocorr, _extract_kinds, _validated, _View
 
 __all__ = ["TSFRESH_FEATURE_NAMES", "extract_tsfresh", "feature_names_for"]
-
-_EXTRA_NAMES: tuple[str, ...] = (
-    "approx_entropy",
-    "psd_band0", "psd_band1", "psd_band2", "psd_band3",
-    "spectral_centroid", "spectral_entropy", "max_psd_freq",
-    "cid_ce", "c3_lag1", "time_reversal_asymmetry",
-    "binned_entropy", "number_peaks",
-    "quantile_10", "quantile_30", "quantile_70", "quantile_90", "quantile_99",
-    "energy_chunk0", "energy_chunk1", "energy_chunk2", "energy_chunk3",
-    "index_mass_q25", "index_mass_q50", "index_mass_q75",
-    "autocorr_mean_1_10", "autocorr_std_1_10", "autocorr_lag5", "autocorr_lag10",
-    "longest_strike_above_median", "longest_strike_below_median",
-    "count_above_q3", "count_below_q1",
-    "fft_abs_mean", "fft_abs_std", "fft_abs_coeff1",
-    # second wave: trend/AR/spectral-shape/duplication families
-    "agg_trend_slope", "agg_trend_stderr",
-    "change_quantiles_mean_abs", "change_quantiles_std",
-    "ratio_unique_values", "has_duplicate_max", "has_duplicate_min",
-    "ar_coef_1", "ar_coef_2", "pacf_lag2",
-    "psd_variance", "psd_skewness", "psd_kurtosis",
-    "mean_abs_max_7", "crossings_median", "range_count_1sigma",
-    "variance_gt_std", "pct_reoccurring_points",
-    "quantile_40", "quantile_60",
-    "c3_lag2", "trev_lag2",
-    "number_peaks_s1", "number_peaks_s5",
-    "first_loc_above_q90", "last_loc_above_q90",
-    "sum_abs_changes", "cid_ce_unnormalized",
-)
-
-TSFRESH_FEATURE_NAMES: tuple[str, ...] = MVTS_FEATURE_NAMES + _EXTRA_NAMES
-
-assert len(TSFRESH_FEATURE_NAMES) == 112
 
 
 def _approx_entropy_column(
@@ -153,219 +124,298 @@ def _approx_entropy_matrix(
     return np.where(sd < 1e-18, 0.0, out)
 
 
-def extract_tsfresh(X: np.ndarray) -> np.ndarray:
-    """Compute the 84 TSFRESH-lite features per column of a (T, M) matrix.
+class _TsfreshView(_View):
+    """A :class:`~repro.features.mvts._View` with the TSFRESH intermediates."""
 
-    Returns a flat ``(M * 84,)`` vector, metric-major, ordered per
-    :data:`TSFRESH_FEATURE_NAMES`. Because the layout is column-major a
-    ``(T, B*M)`` panel of B equal-length runs yields ``(B*M*84,)``, which
-    reshapes to one ``(B, M*84)`` feature row per run.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected (T, M), got {X.shape}")
-    T, M = X.shape
-    if T < 8:
-        raise ValueError(f"need at least 8 timesteps, got {T}")
-    if np.isnan(X).any():
-        raise ValueError("input contains NaNs; interpolate first (see pipeline)")
+    RUN_MASKS = {
+        **_View.RUN_MASKS,
+        "longest_strike_above_median": lambda v: v.X > v.median,
+        "longest_strike_below_median": lambda v: v.X < v.median,
+    }
 
-    base = extract_mvts(X).reshape(M, len(MVTS_FEATURE_NAMES))
-    extra = np.empty((len(_EXTRA_NAMES), M))
+    @cached_property
+    def median(self) -> np.ndarray:
+        return np.median(self.X, axis=0)
 
-    # approximate entropy, whole matrix at once
-    extra[0] = _approx_entropy_matrix(X)
+    @cached_property
+    def welch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Welch PSD over all columns at once: (freqs, psd, safe power)."""
+        freqs, psd = signal.welch(self.X, fs=1.0, nperseg=min(self.T, 64), axis=0)
+        total_power = psd.sum(axis=0)
+        return freqs, psd, np.where(total_power > 1e-18, total_power, 1.0)
 
-    # Welch PSD over all columns at once
-    nperseg = min(T, 64)
-    freqs, psd = signal.welch(X, fs=1.0, nperseg=nperseg, axis=0)
-    total_power = psd.sum(axis=0)
-    safe_power = np.where(total_power > 1e-18, total_power, 1.0)
-    bands = np.array_split(np.arange(len(freqs)), 4)
-    for b, idx in enumerate(bands):
-        extra[1 + b] = psd[idx].sum(axis=0) / safe_power
-    # spectral centroid — np.sum, not `freqs @ psd`: BLAS accumulation
-    # order varies with matrix width, which would break per-run vs
-    # run-batched bit-identity (see _linfit in mvts.py)
-    extra[5] = np.sum(freqs[:, None] * psd, axis=0) / safe_power
-    p_norm = psd / safe_power
+    @cached_property
+    def psd_norm(self) -> np.ndarray:
+        _, psd, safe_power = self.welch
+        return psd / safe_power
+
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        # np.sum, not `freqs @ psd`: BLAS accumulation order varies with
+        # matrix width, which would break per-run vs run-batched
+        # bit-identity (see _linfit in mvts.py)
+        freqs, psd, safe_power = self.welch
+        return np.sum(freqs[:, None] * psd, axis=0) / safe_power
+
+    @cached_property
+    def psd_moment2(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Spectral deviation from the centroid: (fdev, m2, safe m2)."""
+        freqs = self.welch[0]
+        fdev = freqs[:, None] - self.centroid[None, :]
+        m2 = np.sum(self.psd_norm * fdev**2, axis=0)
+        return fdev, m2, np.where(m2 > 1e-18, m2, 1.0)
+
+    @cached_property
+    def q1q3(self) -> np.ndarray:
+        return np.percentile(self.X, [25, 75], axis=0)
+
+    @cached_property
+    def corridor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and std of |change| inside the interquartile corridor."""
+        X = self.X
+        q1, q3 = self.q1q3
+        in_corridor = (X[:-1] >= q1) & (X[:-1] <= q3) & (X[1:] >= q1) & (X[1:] <= q3)
+        abs_d = np.abs(self.diffs)
+        n_in = np.maximum(in_corridor.sum(axis=0), 1)
+        inside = in_corridor.any(axis=0)
+        mean = np.where(inside, (abs_d * in_corridor).sum(axis=0) / n_in, 0.0)
+        sq_dev = ((abs_d - mean) ** 2) * in_corridor
+        return mean, np.where(inside, np.sqrt(sq_dev.sum(axis=0) / n_in), 0.0)
+
+    @cached_property
+    def deciles(self) -> np.ndarray:
+        return np.percentile(self.X, [10, 30, 70, 90, 99], axis=0)
+
+    @cached_property
+    def q40_60(self) -> np.ndarray:
+        return np.percentile(self.X, [40, 60], axis=0)
+
+    @cached_property
+    def energy_chunks(self) -> list[np.ndarray]:
+        """Energy of each time quarter as a fraction of the total."""
+        sq = self.X**2
+        total_energy = np.where(sq.sum(axis=0) > 1e-18, sq.sum(axis=0), 1.0)
+        return [
+            sq[idx].sum(axis=0) / total_energy
+            for idx in np.array_split(np.arange(self.T), 4)
+        ]
+
+    @cached_property
+    def index_mass(self) -> list[np.ndarray]:
+        """Relative index where cumulative |x| mass passes 25/50/75%."""
+        mass = np.cumsum(np.abs(self.X), axis=0)
+        total_mass = np.where(mass[-1] > 1e-18, mass[-1], 1.0)
+        rel = mass / total_mass
+        return [(np.argmax(rel >= q, axis=0) + 1) / self.T for q in (0.25, 0.5, 0.75)]
+
+    @cached_property
+    def acs(self) -> np.ndarray:
+        return np.stack([_autocorr(self.X, lag) for lag in range(1, 11)])
+
+    @cached_property
+    def fft_abs(self) -> np.ndarray:
+        return np.abs(np.fft.rfft(self.X, axis=0))
+
+    @cached_property
+    def agg_trend(self) -> tuple[np.ndarray, np.ndarray]:
+        """Linear trend over 4 chunk means: (slope, residual rms)."""
+        chunk_means = np.stack(
+            [self.X[idx].mean(axis=0) for idx in np.array_split(np.arange(self.T), 4)]
+        )  # (4, W)
+        tc = np.arange(4, dtype=np.float64)
+        tc_c = tc - tc.mean()
+        slope = np.sum(
+            tc_c[:, None] * (chunk_means - chunk_means.mean(axis=0)), axis=0
+        ) / np.sum(tc_c**2)
+        fitted = chunk_means.mean(axis=0) + np.outer(tc_c, slope)
+        resid = chunk_means - fitted
+        return slope, np.sqrt(np.mean(resid**2, axis=0))
+
+    @cached_property
+    def n_unique(self) -> np.ndarray:
+        # distinct-value counts from one sort along axis 0 (adjacent
+        # inequalities in sorted order), not a per-column np.unique loop
+        return 1 + np.count_nonzero(np.diff(np.sort(self.X, axis=0), axis=0), axis=0)
+
+    @cached_property
+    def ar(self) -> tuple[np.ndarray, np.ndarray]:
+        """AR(2) coefficients via Yule-Walker: (phi1, phi2 = lag-2 PACF)."""
+        r1 = _autocorr(self.X, 1)
+        r2 = _autocorr(self.X, 2)
+        denom = np.where(np.abs(1 - r1**2) > 1e-12, 1 - r1**2, 1.0)
+        phi2 = (r2 - r1**2) / denom
+        return r1 * (1 - phi2), phi2
+
+    @cached_property
+    def above_q90(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last relative index above the 90th percentile."""
+        above = self.X > np.percentile(self.X, 90, axis=0)
+        any_above = above.any(axis=0)
+        first = np.argmax(above, axis=0) / self.T
+        last = (self.T - 1 - np.argmax(above[::-1], axis=0)) / self.T
+        return np.where(any_above, first, 1.0), np.where(any_above, last, 0.0)
+
+
+def _band(b: int) -> Callable[[_TsfreshView], np.ndarray]:
+    def value(v: _TsfreshView) -> np.ndarray:
+        freqs, psd, safe_power = v.welch
+        idx = np.array_split(np.arange(len(freqs)), 4)[b]
+        return psd[idx].sum(axis=0) / safe_power
+    return value
+
+
+def _spectral_entropy(v: _TsfreshView) -> np.ndarray:
+    p_norm = v.psd_norm
     with np.errstate(invalid="ignore", divide="ignore"):
         log_p = np.where(p_norm > 0, np.log(np.where(p_norm > 0, p_norm, 1.0)), 0.0)
-    extra[6] = -np.sum(p_norm * log_p, axis=0)  # spectral entropy
-    extra[7] = freqs[np.argmax(psd, axis=0)]  # dominant frequency
+    return -np.sum(p_norm * log_p, axis=0)
 
-    # complexity / nonlinearity
-    diffs = np.diff(X, axis=0)
-    sd = X.std(axis=0)
-    safe_sd = np.where(sd > 1e-18, sd, 1.0)
-    extra[8] = np.sqrt(np.sum((diffs / safe_sd) ** 2, axis=0))  # normalized CID
-    extra[9] = np.mean(X[2:] * X[1:-1] * X[:-2], axis=0)  # c3, lag 1
-    extra[10] = np.mean(X[2:] ** 2 * X[1:-1] - X[1:-1] * X[:-2] ** 2, axis=0)
 
-    # binned entropy, 10 bins per column
-    mn, mx = X.min(axis=0), X.max(axis=0)
+def _psd_moment(power: int) -> Callable[[_TsfreshView], np.ndarray]:
+    def value(v: _TsfreshView) -> np.ndarray:
+        fdev, m2, safe_m2 = v.psd_moment2
+        if power == 2:
+            return m2
+        scale = safe_m2**1.5 if power == 3 else safe_m2**2
+        return np.where(m2 > 1e-18, np.sum(v.psd_norm * fdev**power, axis=0) / scale, 0.0)
+    return value
+
+
+def _binned_entropy(v: _TsfreshView) -> np.ndarray:
+    """Entropy of a 10-bin histogram per column."""
+    mn, mx = v.mn, v.mx
     span = np.where(mx - mn > 1e-18, mx - mn, 1.0)
-    bins = np.clip(((X - mn) / span * 10).astype(int), 0, 9)
-    be = np.zeros(M)
+    bins = np.clip(((v.X - mn) / span * 10).astype(int), 0, 9)
+    be = np.zeros(v.width)
     for b in range(10):
         p = np.mean(bins == b, axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             be -= np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    extra[11] = be
+    return be
 
-    # peaks with support 3 (strictly greater than 3 neighbors each side)
-    support = 3
-    peak = np.ones((T - 2 * support, M), dtype=bool)
-    center = X[support : T - support]
-    for off in range(1, support + 1):
-        peak &= center > X[support - off : T - support - off]
-        peak &= center > X[support + off : T - support + off]
-    extra[12] = peak.sum(axis=0)
 
-    q10, q30, q70, q90, q99 = np.percentile(X, [10, 30, 70, 90, 99], axis=0)
-    extra[13], extra[14], extra[15], extra[16], extra[17] = q10, q30, q70, q90, q99
+def _peaks(support: int) -> Callable[[_TsfreshView], np.ndarray]:
+    """Count of points strictly greater than ``support`` neighbours each side."""
+    def value(v: _TsfreshView) -> np.ndarray:
+        X, T = v.X, v.T
+        if T <= 2 * support:
+            return np.zeros(v.width)
+        pk = np.ones((T - 2 * support, v.width), dtype=bool)
+        center = X[support:T - support]
+        for off in range(1, support + 1):
+            pk &= center > X[support - off:T - support - off]
+            pk &= center > X[support + off:T - support + off]
+        return pk.sum(axis=0)
+    return value
 
-    # energy localization: chunk energies as fractions of total
-    sq = X**2
-    total_energy = np.where(sq.sum(axis=0) > 1e-18, sq.sum(axis=0), 1.0)
-    for b, idx in enumerate(np.array_split(np.arange(T), 4)):
-        extra[18 + b] = sq[idx].sum(axis=0) / total_energy
 
-    # index mass quantiles: relative index where cumulative |x| mass passes q
-    absX = np.abs(X)
-    mass = np.cumsum(absX, axis=0)
-    total_mass = np.where(mass[-1] > 1e-18, mass[-1], 1.0)
-    rel = mass / total_mass
-    for b, q in enumerate((0.25, 0.5, 0.75)):
-        extra[22 + b] = (np.argmax(rel >= q, axis=0) + 1) / T
-
-    # autocorrelation aggregates
-    acs = np.stack([_autocorr(X, lag) for lag in range(1, 11)])
-    extra[25] = acs.mean(axis=0)
-    extra[26] = acs.std(axis=0)
-    extra[27] = acs[4]
-    extra[28] = acs[9]
-
-    med = np.median(X, axis=0)
-    extra[29] = _longest_true_run(X > med)
-    extra[30] = _longest_true_run(X < med)
-    q1, q3 = np.percentile(X, [25, 75], axis=0)
-    extra[31] = np.sum(X > q3, axis=0)
-    extra[32] = np.sum(X < q1, axis=0)
-
-    F = np.abs(np.fft.rfft(X, axis=0))
-    extra[33] = F.mean(axis=0)
-    extra[34] = F.std(axis=0)
-    extra[35] = F[1] if F.shape[0] > 1 else np.zeros(M)
-
-    # ---- second wave ---------------------------------------------------
-    # aggregated linear trend over 4 chunk means
-    chunk_means = np.stack(
-        [X[idx].mean(axis=0) for idx in np.array_split(np.arange(T), 4)]
-    )  # (4, M)
-    tc = np.arange(4, dtype=np.float64)
-    tc_c = tc - tc.mean()
-    slope = np.sum(
-        tc_c[:, None] * (chunk_means - chunk_means.mean(axis=0)), axis=0
-    ) / np.sum(tc_c**2)
-    fitted = chunk_means.mean(axis=0) + np.outer(tc_c, slope)
-    resid = chunk_means - fitted
-    extra[36] = slope
-    extra[37] = np.sqrt(np.mean(resid**2, axis=0))
-
+# the 64 advanced kinds, appended to the 48 MVTS kinds
+_EXTRA_KINDS: tuple[Kind, ...] = (
+    # approximate entropy, whole matrix at once
+    ("approx_entropy", None, lambda v: _approx_entropy_matrix(v.X)),
+    ("psd_band0", "psd", _band(0)),
+    ("psd_band1", "psd", _band(1)),
+    ("psd_band2", "psd", _band(2)),
+    ("psd_band3", "psd", _band(3)),
+    ("spectral_centroid", "psd", lambda v: v.centroid),
+    ("spectral_entropy", "psd", _spectral_entropy),
+    ("max_psd_freq", "psd", lambda v: v.welch[0][np.argmax(v.welch[1], axis=0)]),
+    # complexity / nonlinearity
+    ("cid_ce", None, lambda v: np.sqrt(np.sum((v.diffs / v.safe_sd) ** 2, axis=0))),
+    ("c3_lag1", None, lambda v: np.mean(v.X[2:] * v.X[1:-1] * v.X[:-2], axis=0)),
+    ("time_reversal_asymmetry", None,
+     lambda v: np.mean(v.X[2:] ** 2 * v.X[1:-1] - v.X[1:-1] * v.X[:-2] ** 2, axis=0)),
+    ("binned_entropy", None, _binned_entropy),
+    ("number_peaks", None, _peaks(3)),
+    ("quantile_10", "deciles", lambda v: v.deciles[0]),
+    ("quantile_30", "deciles", lambda v: v.deciles[1]),
+    ("quantile_70", "deciles", lambda v: v.deciles[2]),
+    ("quantile_90", "deciles", lambda v: v.deciles[3]),
+    ("quantile_99", "deciles", lambda v: v.deciles[4]),
+    ("energy_chunk0", "energy", lambda v: v.energy_chunks[0]),
+    ("energy_chunk1", "energy", lambda v: v.energy_chunks[1]),
+    ("energy_chunk2", "energy", lambda v: v.energy_chunks[2]),
+    ("energy_chunk3", "energy", lambda v: v.energy_chunks[3]),
+    ("index_mass_q25", "index_mass", lambda v: v.index_mass[0]),
+    ("index_mass_q50", "index_mass", lambda v: v.index_mass[1]),
+    ("index_mass_q75", "index_mass", lambda v: v.index_mass[2]),
+    ("autocorr_mean_1_10", "acs", lambda v: v.acs.mean(axis=0)),
+    ("autocorr_std_1_10", "acs", lambda v: v.acs.std(axis=0)),
+    ("autocorr_lag5", "acs", lambda v: v.acs[4]),
+    ("autocorr_lag10", "acs", lambda v: v.acs[9]),
+    ("longest_strike_above_median", "runs", lambda v: v.runs["longest_strike_above_median"]),
+    ("longest_strike_below_median", "runs", lambda v: v.runs["longest_strike_below_median"]),
+    ("count_above_q3", "q1q3", lambda v: np.sum(v.X > v.q1q3[1], axis=0)),
+    ("count_below_q1", "q1q3", lambda v: np.sum(v.X < v.q1q3[0], axis=0)),
+    ("fft_abs_mean", "fft", lambda v: v.fft_abs.mean(axis=0)),
+    ("fft_abs_std", "fft", lambda v: v.fft_abs.std(axis=0)),
+    ("fft_abs_coeff1", "fft",
+     lambda v: v.fft_abs[1] if v.fft_abs.shape[0] > 1 else np.zeros(v.width)),
+    # second wave: trend/AR/spectral-shape/duplication families
+    ("agg_trend_slope", "agg_trend", lambda v: v.agg_trend[0]),
+    ("agg_trend_stderr", "agg_trend", lambda v: v.agg_trend[1]),
     # change statistics restricted to the interquartile corridor
-    in_corridor = (X[:-1] >= q1) & (X[:-1] <= q3) & (X[1:] >= q1) & (X[1:] <= q3)
-    abs_d = np.abs(diffs)
-    n_in = np.maximum(in_corridor.sum(axis=0), 1)
-    extra[38] = np.where(
-        in_corridor.any(axis=0), (abs_d * in_corridor).sum(axis=0) / n_in, 0.0
-    )
-    corridor_mean = extra[38]
-    sq_dev = ((abs_d - corridor_mean) ** 2) * in_corridor
-    extra[39] = np.where(
-        in_corridor.any(axis=0), np.sqrt(sq_dev.sum(axis=0) / n_in), 0.0
-    )
-
-    # duplication structure: distinct-value counts come from one
-    # sort-along-axis-0 pass (adjacent inequalities in sorted order),
-    # replacing the per-column np.unique loop
-    mx_ = X.max(axis=0)
-    mn_ = X.min(axis=0)
-    n_unique = 1 + np.count_nonzero(np.diff(np.sort(X, axis=0), axis=0), axis=0)
-    extra[40] = n_unique / T
-    extra[41] = (np.sum(X == mx_, axis=0) > 1).astype(float)
-    extra[42] = (np.sum(X == mn_, axis=0) > 1).astype(float)
-
-    # AR(2) coefficients via Yule-Walker, and the lag-2 PACF
-    r1 = _autocorr(X, 1)
-    r2 = _autocorr(X, 2)
-    denom = np.where(np.abs(1 - r1**2) > 1e-12, 1 - r1**2, 1.0)
-    phi2 = (r2 - r1**2) / denom  # lag-2 partial autocorrelation
-    phi1 = r1 * (1 - phi2)
-    extra[43] = phi1
-    extra[44] = phi2
-    extra[45] = phi2  # pacf_lag2 (same quantity, kept under its own name)
-
+    ("change_quantiles_mean_abs", "q1q3", lambda v: v.corridor[0]),
+    ("change_quantiles_std", "q1q3", lambda v: v.corridor[1]),
+    ("ratio_unique_values", "unique", lambda v: v.n_unique / v.T),
+    ("has_duplicate_max", None, lambda v: (np.sum(v.X == v.mx, axis=0) > 1).astype(float)),
+    ("has_duplicate_min", None, lambda v: (np.sum(v.X == v.mn, axis=0) > 1).astype(float)),
+    ("ar_coef_1", "ar", lambda v: v.ar[0]),
+    ("ar_coef_2", "ar", lambda v: v.ar[1]),
+    # the same quantity, kept under its own name
+    ("pacf_lag2", "ar", lambda v: v.ar[1]),
     # spectral shape: central moments of the normalized PSD over frequency
-    centroid = extra[5]
-    fdev = freqs[:, None] - centroid[None, :]
-    psd_norm = psd / safe_power
-    m2 = np.sum(psd_norm * fdev**2, axis=0)
-    safe_m2 = np.where(m2 > 1e-18, m2, 1.0)
-    extra[46] = m2
-    extra[47] = np.where(
-        m2 > 1e-18, np.sum(psd_norm * fdev**3, axis=0) / safe_m2**1.5, 0.0
-    )
-    extra[48] = np.where(
-        m2 > 1e-18, np.sum(psd_norm * fdev**4, axis=0) / safe_m2**2, 0.0
-    )
-
+    ("psd_variance", "psd", _psd_moment(2)),
+    ("psd_skewness", "psd", _psd_moment(3)),
+    ("psd_kurtosis", "psd", _psd_moment(4)),
     # order statistics / level-crossing families
-    k_top = min(7, T)
-    extra[49] = np.mean(
-        np.sort(np.abs(X), axis=0)[-k_top:], axis=0
-    )  # mean of 7 largest |x|
-    med = np.median(X, axis=0)
-    sign_med = np.sign(X - med)
-    extra[50] = np.sum(np.abs(np.diff(sign_med, axis=0)) > 1, axis=0)
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    extra[51] = np.mean(np.abs(X - mu) <= sd, axis=0)  # range_count ±1σ
-    extra[52] = (sd**2 > sd).astype(float)  # variance larger than std
-    extra[53] = 1.0 - n_unique / T  # fraction of reoccurring points
-    q40, q60 = np.percentile(X, [40, 60], axis=0)
-    extra[54] = q40
-    extra[55] = q60
-
+    ("mean_abs_max_7", None,
+     lambda v: np.mean(np.sort(np.abs(v.X), axis=0)[-min(7, v.T):], axis=0)),
+    ("crossings_median", None,
+     lambda v: np.sum(np.abs(np.diff(np.sign(v.X - v.median), axis=0)) > 1, axis=0)),
+    ("range_count_1sigma", None, lambda v: np.mean(np.abs(v.X - v.mu) <= v.sd, axis=0)),
+    ("variance_gt_std", None, lambda v: (v.sd**2 > v.sd).astype(float)),
+    ("pct_reoccurring_points", "unique", lambda v: 1.0 - v.n_unique / v.T),
+    ("quantile_40", "q40_60", lambda v: v.q40_60[0]),
+    ("quantile_60", "q40_60", lambda v: v.q40_60[1]),
     # higher-lag nonlinearity
-    extra[56] = np.mean(X[4:] * X[2:-2] * X[:-4], axis=0)  # c3, lag 2
-    extra[57] = np.mean(X[4:] ** 2 * X[2:-2] - X[2:-2] * X[:-4] ** 2, axis=0)
-
+    ("c3_lag2", None, lambda v: np.mean(v.X[4:] * v.X[2:-2] * v.X[:-4], axis=0)),
+    ("trev_lag2", None,
+     lambda v: np.mean(v.X[4:] ** 2 * v.X[2:-2] - v.X[2:-2] * v.X[:-4] ** 2, axis=0)),
     # peak counts at other supports
-    for slot, support_k in ((58, 1), (59, 5)):
-        if T <= 2 * support_k:
-            extra[slot] = 0.0
-            continue
-        pk = np.ones((T - 2 * support_k, M), dtype=bool)
-        center_k = X[support_k : T - support_k]
-        for off in range(1, support_k + 1):
-            pk &= center_k > X[support_k - off : T - support_k - off]
-            pk &= center_k > X[support_k + off : T - support_k + off]
-        extra[slot] = pk.sum(axis=0)
-
+    ("number_peaks_s1", None, _peaks(1)),
+    ("number_peaks_s5", None, _peaks(5)),
     # where the extreme regime lives in time
-    q90 = np.percentile(X, 90, axis=0)
-    above = X > q90
-    any_above = above.any(axis=0)
-    first = np.argmax(above, axis=0) / T
-    last = (T - 1 - np.argmax(above[::-1], axis=0)) / T
-    extra[60] = np.where(any_above, first, 1.0)
-    extra[61] = np.where(any_above, last, 0.0)
+    ("first_loc_above_q90", "q90", lambda v: v.above_q90[0]),
+    ("last_loc_above_q90", "q90", lambda v: v.above_q90[1]),
+    ("sum_abs_changes", None, lambda v: np.sum(np.abs(v.diffs), axis=0)),
+    ("cid_ce_unnormalized", None, lambda v: np.sqrt(np.sum(v.diffs**2, axis=0))),
+)
 
-    extra[62] = np.sum(np.abs(diffs), axis=0)
-    extra[63] = np.sqrt(np.sum(diffs**2, axis=0))  # unnormalized CID
+TSFRESH_KINDS: tuple[Kind, ...] = MVTS_KINDS + _EXTRA_KINDS
 
-    return np.hstack([base, extra.T]).ravel()
+TSFRESH_FEATURE_NAMES: tuple[str, ...] = tuple(name for name, _, _ in TSFRESH_KINDS)
+
+assert len(TSFRESH_FEATURE_NAMES) == 112
+
+
+def extract_tsfresh(
+    X: np.ndarray, columns: Sequence[Sequence[int]] | None = None
+) -> np.ndarray:
+    """Compute the 112 TSFRESH-lite features per column of a (T, M) matrix.
+
+    Returns a flat ``(M * 112,)`` vector, metric-major, ordered per
+    :data:`TSFRESH_FEATURE_NAMES`. Because the layout is column-major a
+    ``(T, B*M)`` panel of B equal-length runs yields ``(B*M*112,)``, which
+    reshapes to one ``(B, M*112)`` feature row per run.
+
+    ``columns``, one index sequence per kind, computes each kind on only
+    its columns; the result is then kind-major, as for
+    :func:`~repro.features.mvts.extract_mvts`. Kinds that share a joint
+    computation (the Welch PSD, the autocorrelation stack, a
+    multi-quantile call) compute it once on the union of their columns.
+    """
+    return _extract_kinds(_validated(X, 8), columns, TSFRESH_KINDS, _TsfreshView)
 
 
 def feature_names_for(metric_names: list[str]) -> list[str]:

@@ -62,6 +62,18 @@ class MinMaxScaler(BaseEstimator):
         """Fit on ``X`` then transform it."""
         return self.fit(X).transform(X)
 
+    def select(self, columns: np.ndarray) -> "MinMaxScaler":
+        """This fitted scaler restricted to ``columns``, in that order.
+
+        Transforming the selected columns equals selecting the columns of
+        a full transform, bit for bit: the map is elementwise.
+        """
+        out = MinMaxScaler(self.feature_range, self.clip)
+        for name in ("data_min_", "data_max_", "scale_", "min_"):
+            setattr(out, name, getattr(self, name)[columns])
+        out.n_features_in_ = len(out.scale_)
+        return out
+
     def inverse_transform(self, X: np.ndarray) -> np.ndarray:
         """Undo the scaling (constant features recover their single value)."""
         X = check_array(X)
